@@ -1,14 +1,17 @@
 """Neural encoder/decoder wrapped around the OFDM chain.
 
 The transmit side modulates bits to 4-QAM symbols, feeds their interleaved
-real parts to the encoder network, normalizes the encoded block to unit
-average power per complex sample, and sends it through IFFT -> CP ->
-channel -> CP removal -> FFT.  The receive side optionally zero-forces the
-known gains and runs the decoder network; decisions are per-axis signs.
+real parts to the encoder network and normalizes the encoded block to unit
+average power per complex sample.  The channel acts per subcarrier
+(y_k = h_k x_k + noise), so the unitary IFFT -> CP -> CP removal -> FFT
+round trip of an OFDM symbol is the identity and is not run.  The receive
+side optionally zero-forces the known gains and runs the decoder network;
+decisions are per-axis signs.
 
-Training runs this whole chain in float with fresh channel gains and noise
+Training, inference and the layer-error report all run this one chain
+(_link).  Training runs it in float with fresh channel gains and noise
 per sample; gradients treat the gains and the noise draw as constants and
-propagate through the (linear) transforms via their adjoints.
+propagate through the (linear) channel and ZF via their adjoints.
 """
 
 from __future__ import annotations
@@ -139,8 +142,34 @@ def loss(r: np.ndarray, r_hat: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end chain (inference)
+# The link: one forward for training, inference and the layer-error report
 # ---------------------------------------------------------------------------
+
+def _link(model, x0, h, noise, fwd, equalize):
+    """Encoder -> normalize_power -> y = h*x + noise -> optional ZF ->
+    decoder, per subcarrier.
+
+    fwd is nn.forward_float or nn.forward_fixed; noise=None is a noiseless
+    link.  Returns (decoder_out, taps).
+    """
+    enc_out, enc_layers = fwd(model.encoder, x0)
+    encoded, scale = normalize_power(enc_out)
+    rx_freq = h * ofdm.to_complex(encoded)
+    if noise is not None:
+        rx_freq = rx_freq + noise
+    if equalize:
+        dec_in_c, singular = ofdm.equalize_zf(rx_freq, h)
+    else:
+        dec_in_c, singular = rx_freq, np.zeros(rx_freq.shape, dtype=bool)
+    dec_in = ofdm.to_reals(dec_in_c)
+    dec_out, dec_layers = fwd(model.decoder, dec_in)
+    taps = {
+        "encoded": encoded, "power_scale": scale, "rx_freq": rx_freq,
+        "dec_input": dec_in, "singular": singular,
+        "encoder_layers": enc_layers, "decoder_layers": dec_layers,
+    }
+    return dec_out, taps
+
 
 def end_to_end(model, bits: np.ndarray,
                realization: ofdm.ChannelRealization,
@@ -151,7 +180,7 @@ def end_to_end(model, bits: np.ndarray,
     model is an AutoencoderModel for engine='float', or a quantized model
     (paramdelivery.QuantizedModel) for engine='fixed'.  With the fixed
     engine both networks run on the integer datapath while the non-network
-    blocks (normalization, FFTs, channel) stay float.
+    blocks (normalization, channel, ZF) stay float.
 
     Returns (decoded_bits, taps); taps captures every intermediate signal
     plus both networks' per-layer outputs.
@@ -174,34 +203,20 @@ def end_to_end(model, bits: np.ndarray,
     if bits.shape[-1] != model.ofdm.bits_per_block:
         raise ValueError(
             f"expected {model.ofdm.bits_per_block} bits per block")
+    n_tx = model.encoder.dims[-1] // 2
+    h = realization.h
+    if h.shape[-1] != n_tx:
+        raise ValueError(f"gain length {h.shape[-1]} != {n_tx}")
     tx_symbols = ofdm.qam4_modulate(bits)
-    x0 = ofdm.to_reals(tx_symbols)
-
-    enc_out, enc_layers = fwd(model.encoder, x0)
-    encoded, _ = normalize_power(enc_out)
-
-    tx_freq = ofdm.to_complex(encoded)
-    tx_time = ofdm.add_cp(ofdm.ifft(tx_freq), model.ofdm.cp_len)
-    rx_freq = ofdm.fft(ofdm.remove_cp(tx_time, model.ofdm.cp_len))
-    rx_freq = ofdm.apply_channel(rx_freq, realization, rng)
-
-    if equalize:
-        dec_in_c, singular = ofdm.equalize_zf(rx_freq, realization.h)
-    else:
-        dec_in_c, singular = rx_freq, np.zeros(rx_freq.shape, dtype=bool)
-    dec_in = ofdm.to_reals(dec_in_c)
-
-    dec_out, dec_layers = fwd(model.decoder, dec_in)
-
+    # the encoder draws nothing, so drawing the noise first keeps the
+    # rng stream of the chain
+    noise = ofdm.draw_noise(bits.shape[:-1] + (n_tx,),
+                            realization.noise_variance, rng)
+    dec_out, taps = _link(model, ofdm.to_reals(tx_symbols), h, noise, fwd,
+                          equalize)
     rx_symbols = ofdm.to_complex(dec_out)
     decoded = ofdm.qam4_demodulate(rx_symbols)
-
-    taps = {
-        "tx_symbols": tx_symbols, "encoded": encoded, "tx_time": tx_time,
-        "rx_freq": rx_freq, "dec_input": dec_in, "singular": singular,
-        "rx_symbols": rx_symbols, "encoder_layers": enc_layers,
-        "decoder_layers": dec_layers,
-    }
+    taps.update(tx_symbols=tx_symbols, rx_symbols=rx_symbols)
     if single:
         decoded = decoded[0]
     return decoded, taps
@@ -211,71 +226,33 @@ def end_to_end(model, bits: np.ndarray,
 # Training (float only; quantization happens after delivery)
 # ---------------------------------------------------------------------------
 
-def _chain_forward(model, x0, h, noise, equalize):
-    """Float chain from modulated reals to decoder output, with caches."""
-    enc_acts, enc_pre = nn._forward_cached(model.encoder, x0)
-    enc_out = enc_acts[-1]
-    s = np.sqrt(_complex_power(enc_out))
-    encoded = enc_out / s
-
-    cp = model.ofdm.cp_len
-    tx_freq = ofdm.to_complex(encoded)
-    tx_time = ofdm.add_cp(ofdm.ifft(tx_freq), cp)
-    rx_freq = ofdm.fft(ofdm.remove_cp(tx_time, cp))
-    rx_freq = h * rx_freq + noise
-
-    if equalize:
-        dec_in_c, singular = ofdm.equalize_zf(rx_freq, h)
-    else:
-        dec_in_c, singular = rx_freq, None
-    dec_in = ofdm.to_reals(dec_in_c)
-    dec_acts, dec_pre = nn._forward_cached(model.decoder, dec_in)
-    cache = (enc_acts, enc_pre, enc_out, s, dec_acts, dec_pre, singular)
-    return dec_acts[-1], cache
-
-
-def _chain_backward(model, x0, g_out, cache, h, equalize):
-    """Adjoint of _chain_forward w.r.t. both networks' parameters."""
-    enc_acts, enc_pre, enc_out, s, dec_acts, dec_pre, singular = cache
-    dec_grads, g_dec_in = nn._backward_from(model.decoder, dec_acts, dec_pre,
-                                            g_out)
-    # real-interleaved gradient -> complex convention (d/dRe + j d/dIm)
-    g_c = ofdm.to_complex(g_dec_in)
-    if equalize:
-        g_c = np.where(singular, 0.0, g_c / np.conj(
-            np.where(singular, 1.0, h)))
-    g_c = np.conj(h) * g_c              # channel y = h*x + eps
-    cp = model.ofdm.cp_len
-    g_t = ofdm.ifft(g_c)                # adjoint of fft
-    g_tc = np.concatenate(              # adjoint of remove_cp
-        [np.zeros(g_t.shape[:-1] + (cp,), dtype=complex), g_t], axis=-1)
-    g_time = g_tc[..., cp:].copy()      # adjoint of add_cp
-    if cp:
-        g_time[..., -cp:] += g_tc[..., :cp]
-    g_freq = ofdm.fft(g_time)           # adjoint of ifft
-    g_encoded = ofdm.to_reals(g_freq)
-
-    # adjoint of x/s with s = sqrt(c * sum(x^2)), c = 2/size
-    c = 2.0 / enc_out.size
-    g_enc_out = g_encoded / s \
-        - enc_out * (c * np.sum(g_encoded * enc_out) / s ** 3)
-    enc_grads, _ = nn._backward_from(model.encoder, enc_acts, enc_pre,
-                                     g_enc_out)
-    return enc_grads, dec_grads
-
-
 def chain_loss_and_grads(model, x0, h, noise, equalize=True):
     """Loss and exact parameter gradients through the whole link.
 
     The gains h and the additive noise draw are treated as constants, so
     this matches finite differences of the loss at fixed h and noise.
     """
-    r_hat, cache = _chain_forward(model, x0, h, noise, equalize)
+    r_hat, taps = _link(model, x0, h, noise, nn.forward_float, equalize)
     diff = r_hat - x0
     batch_loss = float(np.mean(diff ** 2))
-    g_out = 2.0 * diff / diff.size
-    enc_grads, dec_grads = _chain_backward(model, x0, g_out, cache, h,
-                                           equalize)
+    dec_grads, g_dec_in = nn._backward_from(
+        model.decoder, taps["dec_input"], taps["decoder_layers"],
+        2.0 * diff / diff.size)
+    # real-interleaved gradient -> complex convention (d/dRe + j d/dIm)
+    g_c = ofdm.to_complex(g_dec_in)
+    h_conj = np.conj(h)
+    if equalize:                        # adjoint of y/h is ZF by conj(h)
+        g_c, _ = ofdm.equalize_zf(g_c, h_conj)
+    g_encoded = ofdm.to_reals(h_conj * g_c)     # channel y = h*x + eps
+
+    # adjoint of x/s with s = sqrt(c * sum(x^2)), c = 2/size
+    enc_out = taps["encoder_layers"][-1]
+    s = taps["power_scale"]
+    c = 2.0 / enc_out.size
+    g_enc_out = g_encoded / s \
+        - enc_out * (c * np.sum(g_encoded * enc_out) / s ** 3)
+    enc_grads, _ = nn._backward_from(model.encoder, x0,
+                                     taps["encoder_layers"], g_enc_out)
     return batch_loss, enc_grads, dec_grads
 
 
@@ -355,10 +332,8 @@ def train(model: AutoencoderModel, cfg: TrainConfig, channel: str = "awgn",
             chan = ofdm.draw_channel(channel, (cfg.batch_size, n_tx),
                                      0.0, rng)
             snr = rng.uniform(lo, hi, size=(cfg.batch_size, 1))
-            sigma = np.sqrt(10.0 ** (-snr / 10.0) / 2.0)
-            noise = sigma * (rng.standard_normal((cfg.batch_size, n_tx))
-                             + 1j * rng.standard_normal(
-                                 (cfg.batch_size, n_tx)))
+            noise = ofdm.draw_noise((cfg.batch_size, n_tx),
+                                    10.0 ** (-snr / 10.0), rng)
             batch_loss, enc_g, dec_g = chain_loss_and_grads(
                 model, x0, chan.h, noise, equalize)
             if not np.isfinite(batch_loss):

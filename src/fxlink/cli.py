@@ -24,9 +24,9 @@ from . import autoencoder as ae
 from . import metrics as mx
 from .fixedpoint import BitAllocationError, make_qformat
 from .neuralnet import TrainConfig
-from .ofdmlink import CHANNEL_KINDS, OfdmConfig
-from .paramdelivery import (ArtifactError, grid_violations, load_artifact,
-                            quantize_model, save_model)
+from .ofdmlink import CHANNEL_KINDS, OfdmConfig, draw_channel
+from .paramdelivery import (ArtifactError, load_artifact, quantize_model,
+                            save_model)
 
 
 class ConfigError(ValueError):
@@ -176,10 +176,6 @@ def cmd_quantize(args) -> int:
     artifact = load_artifact(args.artifact)
     model = artifact.to_model()
     qm = quantize_model(model, q)
-    # grid check applies to the quantized parameters
-    qfloat = ae.AutoencoderModel(qm.encoder.to_float(), qm.decoder.to_float(),
-                                 model.ofdm, model.rate)
-    violations = grid_violations(qfloat, q)
     payload_hash = hashlib.sha256(
         artifact.payload.astype("<f8").tobytes()).hexdigest()
     descriptor = {
@@ -188,14 +184,12 @@ def cmd_quantize(args) -> int:
         "qformat": {"total_bits": q.total_bits, "int_bits": q.int_bits,
                     "frac_bits": q.frac_bits},
         "saturated_params": qm.saturated_params,
-        "grid_ok": violations == 0,
     }
     out_path = Path(args.out) if args.out else Path(
         str(args.artifact) + f".q{q.total_bits}i{q.int_bits}.json")
     out_path.write_text(json.dumps(descriptor, indent=2, sort_keys=True)
                         + "\n")
-    print(f"{q}: saturated_params={qm.saturated_params} "
-          f"grid_ok={violations == 0}")
+    print(f"{q}: saturated_params={qm.saturated_params}")
     print(f"wrote {out_path}")
     return 0
 
@@ -223,8 +217,9 @@ def cmd_simulate(args) -> int:
 
     rng = split_rng(args.seed, _STREAM_EVM)
     bits = rng.integers(0, 2, size=(2000, model.ofdm.bits_per_block))
-    chan = _draw_eval_channel(args.channel, bits.shape[0], model, snr_list[-1],
-                              rng)
+    chan = draw_channel(args.channel,
+                        (bits.shape[0], model.n_tx_subcarriers),
+                        snr_list[-1], rng)
     _, taps_f = ae.end_to_end(model, bits, chan,
                               np.random.default_rng(args.seed),
                               engine="float", equalize=equalize)
@@ -241,12 +236,6 @@ def cmd_simulate(args) -> int:
               f"({p.errors} errors / {p.bits} bits)")
     print(f"wrote {out / 'ber.csv'} and {out / 'layer_error.csv'}")
     return 0
-
-
-def _draw_eval_channel(kind, n_blocks, model, snr_db, rng):
-    from .ofdmlink import draw_channel
-    return draw_channel(kind, (n_blocks, model.n_tx_subcarriers), snr_db,
-                        rng)
 
 
 def cmd_sweep(args) -> int:

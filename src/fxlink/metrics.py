@@ -81,9 +81,13 @@ class LayerErrorReport:
         return self.rel_rms_pct[-1]
 
 
-def model_id(model: AutoencoderModel) -> str:
-    dims = model.encoder.dims + model.decoder.dims[1:]
-    return "fc" + "-".join(str(d) for d in dims) + f"_r{model.rate:g}"
+def model_id(model) -> str:
+    """Stack dims and rate, plus the Q-format of a quantized model."""
+    mid = "fc" + "-".join(str(d) for d in stack_dims(model)) \
+        + f"_r{model.rate:g}"
+    if isinstance(model, QuantizedModel):
+        mid += f"_{model.fmt}"
+    return mid
 
 
 def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
@@ -93,24 +97,21 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
     """Float vs fixed per-layer relative RMS on shared random blocks.
 
     The same modulated blocks run through the float codec and the fixed
-    one back to back (noiseless link, so the decoder sees the normalized
-    encoder output in both cases); each layer tap is compared.
+    one back to back on a noiseless unit-gain link, so the decoder sees the
+    normalized encoder output in both cases; each layer tap is compared.
     """
     if qmodel is None:
         qmodel = quantize_model(model, q)
-    block = ae.random_block(n_samples, model.ofdm, rng)
-    x0 = block.reals
+    x0 = ae.random_block(n_samples, model.ofdm, rng).reals
 
-    f_out, f_enc = nn.forward_float(model.encoder, x0)
-    f_norm, _ = ae.normalize_power(f_out)
-    _, f_dec = nn.forward_float(model.decoder, f_norm)
+    def layer_taps(m, fwd):
+        _, taps = ae._link(m, x0, 1.0, None, fwd, equalize=False)
+        return taps["encoder_layers"] + taps["decoder_layers"]
 
-    q_out, q_enc = nn.forward_fixed(qmodel.encoder, x0)
-    q_norm, _ = ae.normalize_power(q_out)
-    _, q_dec = nn.forward_fixed(qmodel.decoder, q_norm)
-
-    errors = [relative_rms(f, qt.values)
-              for f, qt in zip(f_enc + f_dec, q_enc + q_dec)]
+    # only the float layer list stays alive during the fixed pass
+    f_layers = layer_taps(model, nn.forward_float)
+    errors = [relative_rms(f, qt.values) for f, qt in
+              zip(f_layers, layer_taps(qmodel, nn.forward_fixed))]
     return LayerErrorReport(errors, q.total_bits, q.int_bits,
                             model_id(model), n_samples)
 
@@ -133,12 +134,6 @@ class BerCurve:
     channel: str
     engine: str
     model_id: str
-
-    def ber_at(self, snr_db: float) -> float:
-        for p in self.points:
-            if p.snr_db == snr_db:
-                return p.ber
-        raise KeyError(f"no point at {snr_db} dB")
 
 
 _MC_CHUNK_BLOCKS = 512
@@ -166,8 +161,7 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
         n_tx = cfg.n_subcarriers
     else:
         cfg = model.ofdm
-        mid = model_id(model) if isinstance(model, AutoencoderModel) else \
-            model_id_quantized(model)
+        mid = model_id(model)
         n_tx = model.encoder.dims[-1] // 2
     points = []
     for snr_db in snr_list:
@@ -181,7 +175,7 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
             chan = ofdm.draw_channel(channel, (n_blocks, n_tx), snr_db, rng)
             tx_bits = rng.integers(0, 2, size=(n_blocks, cfg.bits_per_block))
             if uncoded:
-                rx_bits = _uncoded_chain(tx_bits, cfg, chan, rng)
+                rx_bits = _uncoded_chain(tx_bits, chan, rng)
             else:
                 rx_bits, _ = ae.end_to_end(model, tx_bits, chan, rng,
                                            engine=engine, equalize=equalize)
@@ -192,18 +186,9 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     return BerCurve(points, channel, engine, mid)
 
 
-def model_id_quantized(qmodel) -> str:
-    dims = qmodel.encoder.dims + qmodel.decoder.dims[1:]
-    return ("fc" + "-".join(str(d) for d in dims)
-            + f"_r{qmodel.rate:g}_{qmodel.fmt}")
-
-
-def _uncoded_chain(tx_bits, cfg: OfdmConfig, chan, rng):
+def _uncoded_chain(tx_bits, chan, rng):
     """Plain 4-QAM OFDM without the neural codec, ZF at the receiver."""
-    tx = ofdm.qam4_modulate(tx_bits)
-    tx_time = ofdm.add_cp(ofdm.ifft(tx), cfg.cp_len)
-    rx_freq = ofdm.fft(ofdm.remove_cp(tx_time, cfg.cp_len))
-    rx_freq = ofdm.apply_channel(rx_freq, chan, rng)
+    rx_freq = ofdm.apply_channel(ofdm.qam4_modulate(tx_bits), chan, rng)
     eq, _ = ofdm.equalize_zf(rx_freq, chan.h)
     return ofdm.qam4_demodulate(eq)
 
@@ -278,8 +263,9 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
                            n_samples / ofdm_cfg.sample_rate * 1e6)
 
 
-def stack_dims(model: AutoencoderModel) -> list[int]:
-    """Dimension chain of the full encoder+decoder pipeline."""
+def stack_dims(model) -> list[int]:
+    """Dimension chain of the full encoder+decoder pipeline (float or
+    quantized model)."""
     return model.encoder.dims + model.decoder.dims[1:]
 
 

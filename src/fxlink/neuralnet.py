@@ -113,10 +113,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0) if kind == "relu" else z
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(np.float64) if kind == "relu" else np.ones_like(z)
-
-
 def forward_float(net: FCNet, x: np.ndarray):
     """Float64 forward pass.
 
@@ -135,31 +131,21 @@ def forward_float(net: FCNet, x: np.ndarray):
     return a, per_layer
 
 
-def _forward_cached(net: FCNet, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    acts = [x]
-    pre = []
-    a = x
-    for layer in net.layers:
-        z = a @ layer.w.T + layer.b
-        a = _act(z, layer.activation)
-        pre.append(z)
-        acts.append(a)
-    return acts, pre
-
-
-def _backward_from(net: FCNet, acts, pre, g_out: np.ndarray):
+def _backward_from(net: FCNet, x: np.ndarray, per_layer, g_out: np.ndarray):
     """Backprop an upstream gradient through the net.
 
-    Returns (grads, g_in): per-parameter gradients in parameters() order
-    and the gradient w.r.t. the network input.
+    x is the network input and per_layer the post-activation outputs that
+    forward_float returned for it; relu'(z) is exactly (a > 0) for
+    a = relu(z), so no pre-activations are needed.  Returns (grads, g_in):
+    per-parameter gradients in parameters() order and the gradient w.r.t.
+    the network input.
     """
     grads = [None] * (2 * len(net.layers))
     g = g_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        gz = g * _act_grad(pre[i], layer.activation)
-        a_prev = acts[i]
+        gz = g * (per_layer[i] > 0) if layer.activation == "relu" else g
+        a_prev = per_layer[i - 1] if i else x
         if gz.ndim == 1:
             grads[2 * i] = np.outer(gz, a_prev)
             grads[2 * i + 1] = gz.copy()
@@ -180,14 +166,13 @@ def backward(net: FCNet, x: np.ndarray, target: np.ndarray,
         raise ValueError(f"unknown loss {loss_kind!r}")
     x = np.asarray(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    acts, pre = _forward_cached(net, x)
-    y = acts[-1]
+    y, per_layer = forward_float(net, x)
     if y.shape != target.shape:
         raise ValueError(f"target shape {target.shape} != output {y.shape}")
     diff = y - target
     loss = float(np.mean(diff ** 2))
     g_out = 2.0 * diff / diff.size
-    grads, _ = _backward_from(net, acts, pre, g_out)
+    grads, _ = _backward_from(net, x, per_layer, g_out)
     return loss, grads
 
 

@@ -154,6 +154,20 @@ def remove_cp(y: np.ndarray, cp_len: int) -> np.ndarray:
     return y[..., cp_len:]
 
 
+def draw_noise(shape, variance, rng: np.random.Generator):
+    """Complex AWGN of `variance` per complex sample, split evenly between
+    I and Q; None when the variance is 0 (noiseless).
+
+    variance may be an array broadcasting against shape, e.g. one value
+    per block.
+    """
+    if np.all(variance == 0.0):
+        return None
+    sigma = np.sqrt(variance / 2.0)
+    return sigma * (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape))
+
+
 def apply_channel(freq_symbols: np.ndarray, realization: ChannelRealization,
                   rng: np.random.Generator) -> np.ndarray:
     """y_k = h_k * x_k + eps_k with complex AWGN of the configured variance."""
@@ -162,12 +176,8 @@ def apply_channel(freq_symbols: np.ndarray, realization: ChannelRealization,
     if h.shape[-1] != x.shape[-1]:
         raise ValueError(f"gain length {h.shape[-1]} != {x.shape[-1]}")
     y = h * x
-    var = realization.noise_variance
-    if var > 0.0:
-        sigma = np.sqrt(var / 2.0)
-        y = y + sigma * (rng.standard_normal(x.shape)
-                         + 1j * rng.standard_normal(x.shape))
-    return y
+    noise = draw_noise(x.shape, realization.noise_variance, rng)
+    return y if noise is None else y + noise
 
 
 def equalize_zf(y: np.ndarray, h: np.ndarray):

@@ -112,16 +112,23 @@ def test_loss_window_trend(ofdm16):
 # chain gradient vs finite differences (through channel + noise draw)
 # ---------------------------------------------------------------------------
 
-def test_chain_gradient_matches_finite_differences():
+@pytest.mark.parametrize("equalize,singular_gains",
+                         [(True, False), (False, False), (True, True),
+                          (False, True)],
+                         ids=["zf", "no_zf", "zf_singular", "no_zf_singular"])
+def test_chain_gradient_matches_finite_differences(equalize, singular_gains):
     cfg = fx.OfdmConfig(n_subcarriers=4, cp_len=1)
     model = ae.build_model(cfg, 8, 5, seed=3)
     rng = np.random.default_rng(0)
     x0 = ae.random_block(3, cfg, rng).reals
     h = fx.draw_channel("rayleigh", (3, 4), 20.0, rng).h
+    if singular_gains:
+        # both below ZF's singular threshold: ZF zeroes their outputs
+        h[1, 2] = 0.0
+        h[2, 0] = 1e-9
     noise = 0.05 * (rng.standard_normal((3, 4))
                     + 1j * rng.standard_normal((3, 4)))
-    _, enc_g, dec_g = ae.chain_loss_and_grads(model, x0, h, noise,
-                                              equalize=True)
+    _, enc_g, dec_g = ae.chain_loss_and_grads(model, x0, h, noise, equalize)
     params = model.encoder.parameters() + model.decoder.parameters()
     grads = enc_g + dec_g
     rng2 = np.random.default_rng(1)
@@ -132,9 +139,11 @@ def test_chain_gradient_matches_finite_differences():
             idx = tuple(rng2.integers(0, s) for s in p.shape)
             old = p[idx]
             p[idx] = old + step
-            lp, _, _ = ae.chain_loss_and_grads(model, x0, h, noise, True)
+            lp, _, _ = ae.chain_loss_and_grads(model, x0, h, noise,
+                                               equalize)
             p[idx] = old - step
-            lm, _, _ = ae.chain_loss_and_grads(model, x0, h, noise, True)
+            lm, _, _ = ae.chain_loss_and_grads(model, x0, h, noise,
+                                               equalize)
             p[idx] = old
             fd = (lp - lm) / (2 * step)
             if max(abs(fd), abs(g[idx])) > 1e-9:

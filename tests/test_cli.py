@@ -105,7 +105,6 @@ def test_quantize_descriptor(trained_artifact, capsys):
     desc = json.loads(desc_path.read_text())
     assert desc["qformat"] == {"total_bits": 16, "int_bits": 3,
                                "frac_bits": 12}
-    assert desc["grid_ok"] is True
     first = desc_path.read_bytes()
     main(["quantize", str(trained_artifact), "--bits", "16",
           "--int-bits", "3"])

@@ -120,10 +120,13 @@ def sample_away_from_kinks(net, rng, margin=1e-3, tries=100):
     Central differences are only a valid oracle where the function is
     smooth; zero biases make dead-relu chains sit exactly on the kink.
     """
-    from fxlink.neuralnet import _forward_cached
     for _ in range(tries):
         x = rng.normal(size=net.layers[0].in_dim)
-        _, pre = _forward_cached(net, x)
+        a, pre = x, []
+        for layer in net.layers:
+            pre.append(a @ layer.w.T + layer.b)
+            a = np.maximum(pre[-1], 0.0) if layer.activation == "relu" \
+                else pre[-1]
         if min(float(np.min(np.abs(z))) for z in pre) > margin:
             return x
     return None
