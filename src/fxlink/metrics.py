@@ -148,7 +148,9 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
 
     Each SNR point accumulates blocks until at least 100 bit errors have
     been seen and min_bits simulated, or max_bits is reached.  model=None
-    runs the uncoded reference chain (no networks, direct demodulation).
+    runs the uncoded reference chain: 4-QAM straight onto the subcarriers,
+    no networks.  equalize selects ZF before the decoder, or before the
+    4-QAM decisions of the uncoded chain.
     """
     if min_bits < 10_000:
         raise ValueError("min_bits must be at least 10,000 per point")
@@ -175,7 +177,7 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
             chan = ofdm.draw_channel(channel, (n_blocks, n_tx), snr_db, rng)
             tx_bits = rng.integers(0, 2, size=(n_blocks, cfg.bits_per_block))
             if uncoded:
-                rx_bits = _uncoded_chain(tx_bits, chan, rng)
+                rx_bits = _uncoded_chain(tx_bits, chan, rng, equalize)
             else:
                 rx_bits, _ = ae.end_to_end(model, tx_bits, chan, rng,
                                            engine=engine, equalize=equalize)
@@ -186,11 +188,12 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     return BerCurve(points, channel, engine, mid)
 
 
-def _uncoded_chain(tx_bits, chan, rng):
-    """Plain 4-QAM OFDM without the neural codec, ZF at the receiver."""
+def _uncoded_chain(tx_bits, chan, rng, equalize):
+    """Plain 4-QAM OFDM without the neural codec, ZF optional."""
     rx_freq = ofdm.apply_channel(ofdm.qam4_modulate(tx_bits), chan, rng)
-    eq, _ = ofdm.equalize_zf(rx_freq, chan.h)
-    return ofdm.qam4_demodulate(eq)
+    if equalize:
+        rx_freq, _ = ofdm.equalize_zf(rx_freq, chan.h)
+    return ofdm.qam4_demodulate(rx_freq)
 
 
 def qpsk_awgn_ber_theory(ebn0_db: float) -> float:

@@ -243,8 +243,8 @@ def test_dot_length_and_format_errors():
 
 @pytest.mark.parametrize("total_bits", [8, 16, 24, 32])
 def test_linear_matches_scalar_dot(total_bits):
-    # batched MAC array must agree with fx_dot element by element,
-    # including the wide-accumulator (>int64) path at 32 bits
+    # batched MAC array must agree with the oracle element by element,
+    # including the weight-limb path at 32 bits
     q = make_qformat(total_bits, 3)
     rng = np.random.default_rng(total_bits)
     x_raw = rng.integers(q.raw_min, q.raw_max + 1, size=(6, 33))
@@ -254,6 +254,52 @@ def test_linear_matches_scalar_dot(total_bits):
                     FixedTensor(b_raw, q), q)
     for i in range(6):
         for j in range(9):
-            want = fx_dot(FixedTensor(x_raw[i], q), FixedTensor(w_raw[j], q),
-                          FixedScalar(int(b_raw[j]), q), q)
-            assert out.raw[i, j] == want.raw
+            assert out.raw[i, j] == oracle_dot_raw(
+                x_raw[i], w_raw[j], int(b_raw[j]), q.total_bits, q.frac_bits)
+
+
+def test_linear_extremes_every_int_bits():
+    # with few fraction bits the accumulator over 2**f reaches far past
+    # int64 (Q32.29 at 128 inputs: ~2**67) and must still saturate right
+    rng = np.random.default_rng(7)
+    for total_bits in (24, 32):
+        for int_bits in range(total_bits - 1):
+            q = make_qformat(total_bits, int_bits)
+            pool = np.array([q.raw_min, q.raw_min + 1, q.raw_max - 1,
+                             q.raw_max])
+            x_raw = rng.choice(pool, size=(4, 128))
+            w_raw = rng.choice(pool, size=(12, 128))
+            b_raw = rng.choice(pool, size=12)
+            # x = raw_min against w = -1: the limbs above the binary point
+            # form a top word of -128 * raw_min, and the all-ones lower
+            # limbs cancel it down to 128 * 2**(t-1-f)
+            x_raw[0], w_raw[0] = q.raw_min, -1
+            out = fx_linear(FixedTensor(x_raw, q), FixedTensor(w_raw, q),
+                            FixedTensor(b_raw, q), q)
+            for i in range(4):
+                for j in range(12):
+                    assert out.raw[i, j] == oracle_dot_raw(
+                        x_raw[i], w_raw[j], int(b_raw[j]), total_bits,
+                        q.frac_bits), (q, i, j)
+
+
+def test_linear_limb_width_limit():
+    # at 32 bits, 2**20 products still leave 1-bit weight limbs; one more
+    # leaves none, and there is no other exact path.  At Q32.29 the top
+    # word spans 29 limbs and reaches ~2**80 before it saturates.
+    n = 1 << 20
+    for int_bits in (3, 29):
+        q = make_qformat(32, int_bits)
+        x = np.full((1, n), q.raw_min)
+        w = np.stack([np.full(n, q.raw_min), np.full(n, q.raw_max),
+                      np.tile([q.raw_max, q.raw_min], n // 2)])
+        out = fx_linear(FixedTensor(x, q), FixedTensor(w, q),
+                        FixedTensor(np.array([0, 0, 3]), q), q)
+        assert out.raw[0, 0] == q.raw_max
+        assert out.raw[0, 1] == q.raw_min
+        assert out.raw[0, 2] == oracle_dot_raw(x[0], w[2], 3, 32,
+                                               q.frac_bits)
+    x1 = FixedTensor(np.zeros(n + 1, dtype=np.int64), q)
+    w1 = FixedTensor(np.zeros((1, n + 1), dtype=np.int64), q)
+    with pytest.raises(ValueError):
+        fx_linear(x1, w1, FixedTensor(np.zeros(1, dtype=np.int64), q), q)

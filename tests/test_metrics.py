@@ -127,6 +127,19 @@ def test_ber_uncoded_reference_vs_theory():
         mx.qpsk_awgn_ber_theory(ebn0), rel=0.10)
 
 
+def test_ber_uncoded_equalize_flag():
+    # without ZF, a Rayleigh gain's random phase scrambles the 4-QAM
+    # decisions; over AWGN (h = 1) ZF changes nothing
+    def point(channel, snr_db, eq):
+        return mx.ber_sweep(None, "float", channel, [snr_db], 50_000,
+                            50_000, seed=3, equalize=eq).points[0]
+    zf, no_zf = point("rayleigh", 30.0, True), point("rayleigh", 30.0, False)
+    assert no_zf.ber > 0.4 and no_zf.ber > 100 * zf.ber
+    awgn_zf = point("awgn", 7.0, True)
+    assert awgn_zf.errors > 100
+    assert point("awgn", 7.0, False) == awgn_zf
+
+
 def test_ber_min_bits_guard(awgn_model):
     with pytest.raises(ValueError):
         mx.ber_sweep(awgn_model, "float", "awgn", [10.0], min_bits=5000)
