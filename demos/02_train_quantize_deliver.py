@@ -36,8 +36,9 @@ loaded = fx.load_model(path)
 report = fx.verify(fx.load_artifact(path))
 print(f"verify: dims_ok={report.dims_ok} checksum_ok={report.checksum_ok}")
 
-same = all(np.array_equal(a, b) for a, b in zip(
-    result.model.encoder.parameters(), loaded.encoder.parameters()))
+same = all(np.array_equal(a.params, b.params) for a, b in (
+    (result.model.encoder, loaded.encoder),
+    (result.model.decoder, loaded.decoder)))
 print("round trip bit-exact:", same)
 
 print("\nquantizing the delivered parameters:")

@@ -231,6 +231,7 @@ def chain_loss_and_grads(model, x0, h, noise, equalize=True):
 
     The gains h and the additive noise draw are treated as constants, so
     this matches finite differences of the loss at fixed h and noise.
+    Returns (loss, enc_grads, dec_grads), each laid out like its params.
     """
     r_hat, taps = _link(model, x0, h, noise, nn.forward_float, equalize)
     diff = r_hat - x0
@@ -284,8 +285,8 @@ def calibrate_ranges(model: AutoencoderModel, rng: np.random.Generator,
             else:
                 peak = float(np.percentile(np.abs(taps[i]), percentile))
                 g = target / peak if peak > 0 else 1.0
-            layer.w *= g / g_prev
-            layer.b *= g
+            layer.w[...] *= g / g_prev
+            layer.b[...] *= g
             g_prev = g
 
     rebalance(model.encoder, block.reals, skip_last=False)
@@ -318,9 +319,7 @@ def train(model: AutoencoderModel, cfg: TrainConfig, channel: str = "awgn",
         rng = np.random.default_rng(cfg.seed)
     model = AutoencoderModel(model.encoder.copy(), model.decoder.copy(),
                              model.ofdm, model.rate)
-    params = model.encoder.parameters() + model.decoder.parameters()
-    n_enc = len(model.encoder.parameters())
-    state = None
+    enc_state = dec_state = None
     history = []
     n_tx = model.n_tx_subcarriers
     lo, hi = cfg.snr_range_db
@@ -339,10 +338,10 @@ def train(model: AutoencoderModel, cfg: TrainConfig, channel: str = "awgn",
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"loss became {batch_loss} at epoch {len(history) + 1}")
-            params, state = nn.optimizer_step(params, enc_g + dec_g, state,
-                                              cfg)
-            model.encoder.set_parameters(params[:n_enc])
-            model.decoder.set_parameters(params[n_enc:])
+            enc_state = nn.optimizer_step(model.encoder.params, enc_g,
+                                          enc_state, cfg)
+            dec_state = nn.optimizer_step(model.decoder.params, dec_g,
+                                          dec_state, cfg)
             epoch_loss += batch_loss
         history.append(epoch_loss / cfg.batches_per_epoch)
     return TrainResult(calibrate_ranges(model, rng), history)

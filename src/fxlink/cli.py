@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -174,13 +173,11 @@ def cmd_train(args) -> int:
 def cmd_quantize(args) -> int:
     q = make_qformat(args.bits, args.int_bits)
     artifact = load_artifact(args.artifact)
-    model = artifact.to_model()
-    qm = quantize_model(model, q)
-    payload_hash = hashlib.sha256(
-        artifact.payload.astype("<f8").tobytes()).hexdigest()
+    qm = quantize_model(artifact.to_model(), q)
     descriptor = {
         "artifact": str(args.artifact),
-        "payload_sha256": payload_hash,
+        # load_artifact checked it against the payload
+        "payload_sha256": artifact.header["payload_sha256"],
         "qformat": {"total_bits": q.total_bits, "int_bits": q.int_bits,
                     "frac_bits": q.frac_bits},
         "saturated_params": qm.saturated_params,

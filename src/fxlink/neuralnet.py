@@ -10,8 +10,7 @@ introduced by the fixed datapath can be tracked layer by layer.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,26 @@ from .fixedpoint import (FixedTensor, QFormat, fx_linear, quantize, relu_raw,
 ACTIVATIONS = ("relu", "linear")
 
 
-@dataclass
+def n_params(dims: list[int]) -> int:
+    """Length of the flat parameter vector of a dense stack with dims."""
+    return sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
+
+
+def layer_views(params: np.ndarray, dims: list[int]):
+    """Per-layer (W, b) views of a flat parameter vector laid out like the
+    .fxl payload: per layer, W row-major [out, in], then b [out]."""
+    if params.shape != (n_params(dims),):
+        raise ValueError(f"{params.size} parameters do not fit dims {dims}")
+    views, pos = [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        end = pos + din * dout
+        views.append((params[pos:end].reshape(dout, din),
+                      params[end:end + dout]))
+        pos = end + dout
+    return views
+
+
+@dataclass(frozen=True)
 class DenseLayer:
     w: np.ndarray           # [out, in]
     b: np.ndarray           # [out]
@@ -40,9 +58,17 @@ class DenseLayer:
         return self.w.shape[0]
 
 
-@dataclass
 class FCNet:
-    layers: list[DenseLayer]
+    """Dense stack; each layer's w and b are views into one flat float64
+    vector, params.  FCNet(layers) copies the arrays into a new one."""
+
+    def __init__(self, layers: list[DenseLayer]):
+        dims = [layers[0].in_dim] + [l.out_dim for l in layers]
+        self.params = np.empty(n_params(dims))
+        self.layers = []
+        for (w, b), l in zip(layer_views(self.params, dims), layers):
+            w[...], b[...] = l.w, l.b
+            self.layers.append(DenseLayer(w, b, l.activation))
 
     @property
     def depth(self) -> int:
@@ -52,20 +78,8 @@ class FCNet:
     def dims(self) -> list[int]:
         return [self.layers[0].in_dim] + [l.out_dim for l in self.layers]
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for l in self.layers:
-            out.extend([l.w, l.b])
-        return out
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        it = iter(params)
-        for l in self.layers:
-            l.w = next(it)
-            l.b = next(it)
-
     def copy(self) -> "FCNet":
-        return copy.deepcopy(self)
+        return FCNet(self.layers)
 
 
 @dataclass
@@ -137,21 +151,23 @@ def _backward_from(net: FCNet, x: np.ndarray, per_layer, g_out: np.ndarray):
     x is the network input and per_layer the post-activation outputs that
     forward_float returned for it; relu'(z) is exactly (a > 0) for
     a = relu(z), so no pre-activations are needed.  Returns (grads, g_in):
-    per-parameter gradients in parameters() order and the gradient w.r.t.
-    the network input.
+    the parameter gradient as one flat vector laid out like net.params,
+    and the gradient w.r.t. the network input.
     """
-    grads = [None] * (2 * len(net.layers))
+    grads = np.empty_like(net.params)
+    views = layer_views(grads, net.dims)
     g = g_out
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
+        gw, gb = views[i]
         gz = g * (per_layer[i] > 0) if layer.activation == "relu" else g
         a_prev = per_layer[i - 1] if i else x
         if gz.ndim == 1:
-            grads[2 * i] = np.outer(gz, a_prev)
-            grads[2 * i + 1] = gz.copy()
+            np.outer(gz, a_prev, out=gw)
+            gb[...] = gz
         else:
-            grads[2 * i] = gz.T @ a_prev
-            grads[2 * i + 1] = gz.sum(axis=0)
+            np.matmul(gz.T, a_prev, out=gw)
+            gz.sum(axis=0, out=gb)
         g = gz @ layer.w
     return grads, g
 
@@ -160,7 +176,7 @@ def backward(net: FCNet, x: np.ndarray, target: np.ndarray,
              loss_kind: str = "mse"):
     """Analytic gradients of the loss w.r.t. every weight and bias.
 
-    Returns (loss, grads) with grads in parameters() order.
+    Returns (loss, grads) with grads laid out like net.params.
     """
     if loss_kind != "mse":
         raise ValueError(f"unknown loss {loss_kind!r}")
@@ -178,38 +194,33 @@ def backward(net: FCNet, x: np.ndarray, target: np.ndarray,
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def optimizer_step(params, grads, state, cfg: TrainConfig):
-    """One optimizer update; returns (new_params, state).
+    """One in-place update of a flat vector (net.params); returns state.
 
-    Adam uses beta1=0.9, beta2=0.999, eps=1e-8 with bias correction;
-    'sgd' is the plain rule p - lr*g.
+    Adam uses beta1=0.9, beta2=0.999, eps=1e-8 with bias correction and
+    creates its state when state is None; 'sgd' is the plain rule p - lr*g.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
+    if params.shape != grads.shape:
+        raise ValueError(f"shape mismatch {params.shape} vs {grads.shape}")
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
-        return [p - lr * g for p, g in zip(params, grads)], state
+        params -= lr * grads
+        return state
     b1, b2, eps = 0.9, 0.999, 1e-8
-    if state is None or not state.m:
-        state = AdamState([np.zeros_like(p) for p in params],
-                          [np.zeros_like(p) for p in params], 0)
+    if state is None:
+        state = AdamState(np.zeros_like(params), np.zeros_like(params))
     state.t += 1
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** state.t)
-        v_hat = state.v[i] / (1 - b2 ** state.t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-    return out, state
+    state.m = b1 * state.m + (1 - b1) * grads
+    state.v = b2 * state.v + (1 - b2) * grads * grads
+    m_hat = state.m / (1 - b1 ** state.t)
+    v_hat = state.v / (1 - b2 ** state.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return state
 
 
 @dataclass
@@ -243,13 +254,11 @@ class QuantizedNet:
 
 def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
     """Snap every weight and bias of a float net onto fmt's grid."""
-    layers = []
-    n_sat = 0
-    for l in net.layers:
-        n_sat += saturation_count(l.w, fmt) + saturation_count(l.b, fmt)
-        layers.append(QuantizedLayer(quantize(l.w, fmt), quantize(l.b, fmt),
-                                     l.activation))
-    return QuantizedNet(layers, fmt, n_sat)
+    q = quantize(net.params, fmt)
+    layers = [QuantizedLayer(FixedTensor(w, fmt), FixedTensor(b, fmt),
+                             l.activation)
+              for (w, b), l in zip(layer_views(q.raw, net.dims), net.layers)]
+    return QuantizedNet(layers, fmt, saturation_count(net.params, fmt))
 
 
 def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
@@ -261,10 +270,9 @@ def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     the list of FixedTensor taps.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != qnet.layers[0].w.raw.shape[1]:
+    if x.shape[-1] != qnet.dims[0]:
         raise ValueError(
-            f"input dim {x.shape[-1]} != layer dim "
-            f"{qnet.layers[0].w.raw.shape[1]}")
+            f"input dim {x.shape[-1]} != layer dim {qnet.dims[0]}")
     a = quantize(x, qnet.fmt)
     per_layer = []
     for layer in qnet.layers:

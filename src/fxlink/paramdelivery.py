@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderModel
-from .fixedpoint import QFormat, make_qformat, quantize
-from .neuralnet import FCNet, DenseLayer, QuantizedNet, quantize_net
+from .fixedpoint import QFormat, make_qformat
+from .neuralnet import (FCNet, DenseLayer, QuantizedNet, layer_views,
+                        n_params, quantize_net)
 from .ofdmlink import OfdmConfig
 
 MAGIC = b"FXLINK1\n"
@@ -64,14 +65,8 @@ class ModelArtifact:
                         "int_bits": qformat.int_bits},
             "training": training or {},
         }
-        chunks = []
-        for net in (model.encoder, model.decoder):
-            for layer in net.layers:
-                chunks.append(layer.w.reshape(-1))
-                chunks.append(layer.b)
-        payload = np.ascontiguousarray(np.concatenate(chunks),
-                                       dtype=np.float64)
-        return cls(header, payload)
+        return cls(header, np.concatenate([model.encoder.params,
+                                           model.decoder.params]))
 
     @property
     def qformat(self) -> QFormat | None:
@@ -80,38 +75,34 @@ class ModelArtifact:
             return None
         return make_qformat(q["total_bits"], q["int_bits"])
 
-    def expected_payload_len(self) -> int:
-        n = 0
-        for dims in (self.header["encoder_dims"],
-                     self.header["decoder_dims"]):
-            for din, dout in zip(dims[:-1], dims[1:]):
-                n += din * dout + dout
-        return n
-
     def to_model(self) -> AutoencoderModel:
+        """The codec the artifact describes; ArtifactError if it is none."""
         h = self.header
-        ofdm_cfg = OfdmConfig(h["n_subcarriers"], h["cp_len"],
-                              h["modulation"], h["sample_rate"])
-        pos = 0
+        n_enc = n_params(h["encoder_dims"])
 
-        def take(n):
-            nonlocal pos
-            out = self.payload[pos:pos + n]
-            pos += n
-            return out
+        def net(side, params):
+            return FCNet([DenseLayer(w, b, act) for (w, b), act in
+                          zip(layer_views(params, h[f"{side}_dims"]),
+                              h[f"{side}_activations"])])
 
-        nets = []
-        for dims, acts in ((h["encoder_dims"], h["encoder_activations"]),
-                           (h["decoder_dims"], h["decoder_activations"])):
-            layers = []
-            for din, dout, act in zip(dims[:-1], dims[1:], acts):
-                w = take(din * dout).reshape(dout, din).copy()
-                b = take(dout).copy()
-                layers.append(DenseLayer(w, b, act))
-            nets.append(FCNet(layers))
-        if pos != self.payload.size:
-            raise ArtifactError("payload size does not match header dims")
-        return AutoencoderModel(nets[0], nets[1], ofdm_cfg, h["rate"])
+        try:
+            return AutoencoderModel(
+                net("encoder", self.payload[:n_enc]),
+                net("decoder", self.payload[n_enc:]),
+                OfdmConfig(h["n_subcarriers"], h["cp_len"], h["modulation"],
+                           h["sample_rate"]),
+                h["rate"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # every value here comes from the header
+            raise ArtifactError(f"header describes no valid model: {exc!r}") \
+                from exc
+
+
+def _n_off_grid(values: np.ndarray, q: QFormat) -> int:
+    """How many values are not exactly on q's grid and in its range."""
+    raw = np.rint(values * q.scale)
+    return int(np.sum((raw * q.step != values) | (raw < q.raw_min)
+                      | (raw > q.raw_max)))
 
 
 def _encode_header(header: dict) -> bytes:
@@ -121,12 +112,35 @@ def _encode_header(header: dict) -> bytes:
 
 def _decode_header(raw: bytes) -> dict:
     header = {}
-    for line in raw.decode("ascii").strip("\n").split("\n"):
-        key, sep, value = line.partition(": ")
-        if not sep:
-            raise ArtifactError(f"malformed header line {line!r}")
-        header[key] = json.loads(value)
+    try:
+        for line in raw.decode("ascii").strip("\n").split("\n"):
+            key, sep, value = line.partition(": ")
+            if not sep:
+                raise ArtifactError(f"malformed header line {line!r}")
+            header[key] = json.loads(value)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ArtifactError(f"malformed header: {exc}") from exc
     return header
+
+
+def _header_problems(h: dict, n_bytes: int) -> list[str]:
+    """What keeps the dims chains of header h from describing a payload of
+    n_bytes: dims that are not two or more positive ints with one
+    activation per weight layer, a broken chain, the wrong payload size."""
+    for side in ("encoder", "decoder"):
+        dims, acts = h.get(f"{side}_dims"), h.get(f"{side}_activations")
+        if not (type(dims) is list and len(dims) >= 2
+                and all(type(d) is int and d > 0 for d in dims)
+                and type(acts) is list and len(acts) == len(dims) - 1):
+            return [f"{side}_dims/activations missing or mistyped"]
+    enc, dec = h["encoder_dims"], h["decoder_dims"]
+    bad = []
+    if enc[-1] != dec[0]:
+        bad.append("encoder output dim != decoder input dim")
+    n = 8 * (n_params(enc) + n_params(dec))
+    if n_bytes != n:
+        bad.append(f"payload holds {n_bytes} bytes, dims require {n}")
+    return bad
 
 
 def save_model(model: AutoencoderModel, path,
@@ -164,13 +178,11 @@ def load_artifact(path) -> ModelArtifact:
     if header.get("payload_sha256") != hashlib.sha256(
             payload_bytes).hexdigest():
         raise ChecksumMismatch("payload hash mismatch")
+    problems = _header_problems(header, len(payload_bytes))
+    if problems:
+        raise ArtifactError("; ".join(problems))
     payload = np.frombuffer(payload_bytes, dtype="<f8").astype(np.float64)
-    artifact = ModelArtifact(header, payload)
-    if payload.size != artifact.expected_payload_len():
-        raise ArtifactError(
-            f"payload holds {payload.size} values, header dims require "
-            f"{artifact.expected_payload_len()}")
-    return artifact
+    return ModelArtifact(header, payload)
 
 
 def load_model(path) -> AutoencoderModel:
@@ -201,13 +213,7 @@ def quantize_model(model: AutoencoderModel, q: QFormat) -> QuantizedModel:
 
 def grid_violations(model: AutoencoderModel, q: QFormat) -> int:
     """Count parameters that do not lie exactly on q's grid."""
-    bad = 0
-    for net in (model.encoder, model.decoder):
-        for layer in net.layers:
-            for arr in (layer.w, layer.b):
-                qt = quantize(arr, q)
-                bad += int(np.sum(qt.values != arr))
-    return bad
+    return _n_off_grid(ModelArtifact.from_model(model).payload, q)
 
 
 @dataclass
@@ -223,18 +229,10 @@ class VerifyReport:
 
 
 def verify(artifact: ModelArtifact) -> VerifyReport:
-    """Integrity report: dimension chain, payload hash, grid membership."""
-    problems = []
-    dims_ok = True
+    """Integrity report: header and dims chain, payload hash, grid."""
     h = artifact.header
-    if artifact.payload.size != artifact.expected_payload_len():
-        dims_ok = False
-        problems.append(
-            f"payload holds {artifact.payload.size} values, dims require "
-            f"{artifact.expected_payload_len()}")
-    if h["encoder_dims"][-1] != h["decoder_dims"][0]:
-        dims_ok = False
-        problems.append("encoder output dim != decoder input dim")
+    problems = _header_problems(h, artifact.payload.nbytes)
+    dims_ok = not problems
 
     payload_bytes = artifact.payload.astype("<f8").tobytes()
     checksum_ok = h.get("payload_sha256") == hashlib.sha256(
@@ -245,11 +243,8 @@ def verify(artifact: ModelArtifact) -> VerifyReport:
     grid_ok = None
     q = artifact.qformat
     if q is not None and dims_ok:
-        raw = np.rint(artifact.payload * q.scale)
-        on_grid = (raw * q.step == artifact.payload) \
-            & (raw >= q.raw_min) & (raw <= q.raw_max)
-        grid_ok = bool(np.all(on_grid))
+        n_off = _n_off_grid(artifact.payload, q)
+        grid_ok = n_off == 0
         if not grid_ok:
-            problems.append(
-                f"{int(np.sum(~on_grid))} parameters off the {q} grid")
+            problems.append(f"{n_off} parameters off the {q} grid")
     return VerifyReport(dims_ok, checksum_ok, grid_ok, problems)

@@ -197,11 +197,9 @@ def test_c7_oracle_suites(awgn_model, tmp_path):
     path = tmp_path / "m.fxl"
     fx.save_model(awgn_model, path)
     loaded = fx.load_model(path)
-    for a, b in zip(awgn_model.encoder.parameters()
-                    + awgn_model.decoder.parameters(),
-                    loaded.encoder.parameters()
-                    + loaded.decoder.parameters()):
-        assert np.array_equal(a, b)
+    for a, b in ((awgn_model.encoder, loaded.encoder),
+                 (awgn_model.decoder, loaded.decoder)):
+        assert np.array_equal(a.params, b.params)
 
     # f) fixed engine at 32 bits matches float decisions on 1e4 blocks
     qm = fx.quantize_model(awgn_model, fx.make_qformat(32, 3))

@@ -81,11 +81,8 @@ def test_training_deterministic(ofdm16):
     cfg = fx.TrainConfig(epochs=3, batches_per_epoch=20, seed=4)
     a = ae.train(model, cfg, channel="rayleigh")
     b = ae.train(model, cfg, channel="rayleigh")
-    for pa, pb in zip(a.model.encoder.parameters()
-                      + a.model.decoder.parameters(),
-                      b.model.encoder.parameters()
-                      + b.model.decoder.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.model.encoder.params, b.model.encoder.params)
+    assert np.array_equal(a.model.decoder.params, b.model.decoder.params)
     assert a.loss_history == b.loss_history
 
 
@@ -129,8 +126,13 @@ def test_chain_gradient_matches_finite_differences(equalize, singular_gains):
     noise = 0.05 * (rng.standard_normal((3, 4))
                     + 1j * rng.standard_normal((3, 4)))
     _, enc_g, dec_g = ae.chain_loss_and_grads(model, x0, h, noise, equalize)
-    params = model.encoder.parameters() + model.decoder.parameters()
-    grads = enc_g + dec_g
+    # every weight and bias array with its gradient, each a view into
+    # the flat vectors
+    params, grads = [], []
+    for net, g in ((model.encoder, enc_g), (model.decoder, dec_g)):
+        for layer, (gw, gb) in zip(net.layers, nn.layer_views(g, net.dims)):
+            params += [layer.w, layer.b]
+            grads += [gw, gb]
     rng2 = np.random.default_rng(1)
     step = 1e-6
     worst = 0.0

@@ -120,6 +120,16 @@ def test_quantize_missing_artifact_exits_2(tmp_path):
     assert main(["quantize", str(tmp_path / "none.fxl")]) == 2
 
 
+@pytest.mark.parametrize("case", ["no_encoder_dims", "dims_as_string",
+                                  "payload_not_whole_values"])
+def test_quantize_malformed_artifact_exits_2(tmp_path, capsys, case):
+    from test_paramdelivery import BASE_HEADER, BASE_PAYLOAD, MALFORMED, seal
+    path = tmp_path / "m.fxl"
+    path.write_bytes(seal(*MALFORMED[case](BASE_HEADER, BASE_PAYLOAD)))
+    assert main(["quantize", str(path)]) == 2
+    assert "fxlink: error:" in capsys.readouterr().err
+
+
 def test_simulate_outputs_and_determinism(trained_artifact, tmp_path,
                                           capsys):
     out1 = tmp_path / "sim1"

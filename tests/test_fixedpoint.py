@@ -35,7 +35,7 @@ def oracle_quantize_raw(x: float, total_bits: int, frac_bits: int) -> int:
 
 
 def oracle_dot_raw(a_raw, w_raw, bias_raw, total_bits, frac_bits) -> int:
-    acc = bias_raw * (1 << frac_bits)
+    acc = int(bias_raw) * (1 << frac_bits)
     for ai, wi in zip(a_raw, w_raw):
         acc += int(ai) * int(wi)
     raw = oracle_round_half_even(Fraction(acc, 1 << frac_bits))
@@ -255,7 +255,7 @@ def test_linear_matches_scalar_dot(total_bits):
     for i in range(6):
         for j in range(9):
             assert out.raw[i, j] == oracle_dot_raw(
-                x_raw[i], w_raw[j], int(b_raw[j]), q.total_bits, q.frac_bits)
+                x_raw[i], w_raw[j], b_raw[j], q.total_bits, q.frac_bits)
 
 
 def test_linear_extremes_every_int_bits():

@@ -1,5 +1,7 @@
 """Network forward/backward checks against finite-difference oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,20 +82,16 @@ def test_forward_dim_mismatch():
 # ---------------------------------------------------------------------------
 
 def central_diff_grads(net, x, target, h=1e-5):
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + h
-            lp, _ = backward(net, x, target)
-            flat[i] = old - h
-            lm, _ = backward(net, x, target)
-            flat[i] = old
-            gflat[i] = (lp - lm) / (2 * h)
-        grads.append(g)
+    flat = net.params
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + h
+        lp, _ = backward(net, x, target)
+        flat[i] = old - h
+        lm, _ = backward(net, x, target)
+        flat[i] = old
+        grads[i] = (lp - lm) / (2 * h)
     return grads
 
 
@@ -103,7 +101,7 @@ def test_zero_loss_zero_gradient():
     y, _ = forward_float(net, x)
     loss, grads = backward(net, x, y)
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads)
+    assert np.all(grads == 0.0)
 
 
 def test_linear_1x1_hand_gradient():
@@ -111,7 +109,8 @@ def test_linear_1x1_hand_gradient():
     net = FCNet([DenseLayer(np.array([[w]]), np.zeros(1), "linear")])
     x, t = np.array([0.6]), np.array([2.0])
     _, grads = backward(net, x, t)
-    assert grads[0][0, 0] == pytest.approx(2 * (w * x[0] - t[0]) * x[0])
+    # flat layout: W[0, 0], then b[0]
+    assert grads[0] == pytest.approx(2 * (w * x[0] - t[0]) * x[0])
 
 
 def sample_away_from_kinks(net, rng, margin=1e-3, tries=100):
@@ -149,9 +148,8 @@ def test_gradcheck_100_random_nets():
         target = rng.normal(size=dims[-1])
         _, grads = backward(net, x, target)
         fd = central_diff_grads(net, x, target)
-        for g, f in zip(grads, fd):
-            denom = np.maximum(np.maximum(np.abs(g), np.abs(f)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(g - f) / denom)))
+        denom = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-6)
+        worst = max(worst, float(np.max(np.abs(grads - fd) / denom)))
         checked += 1
     assert worst < 1e-4
 
@@ -162,13 +160,11 @@ def test_backward_batch_matches_sum_of_samples():
     x = rng.normal(size=(3, 4))
     t = rng.normal(size=(3, 4))
     _, batch_grads = backward(net, x, t)
-    acc = [np.zeros_like(p) for p in net.parameters()]
+    acc = np.zeros_like(net.params)
     for i in range(3):
         _, g = backward(net, x[i], t[i])
-        for a, gi in zip(acc, g):
-            a += gi / 3.0
-    for got, want in zip(batch_grads, acc):
-        assert np.allclose(got, want, atol=1e-12)
+        acc += g / 3.0
+    assert np.allclose(batch_grads, acc, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +173,25 @@ def test_backward_batch_matches_sum_of_samples():
 
 def test_sgd_rule():
     cfg = TrainConfig(learning_rate=0.1, optimizer="sgd")
-    params, _ = optimizer_step([np.array([1.0])], [np.array([2.0])], None,
-                               cfg)
-    assert params[0][0] == pytest.approx(0.8)
+    p = np.array([1.0])
+    optimizer_step(p, np.array([2.0]), None, cfg)
+    assert p[0] == pytest.approx(0.8)
 
 
 def test_sgd_zero_gradient_no_change():
     cfg = TrainConfig(learning_rate=0.5, optimizer="sgd")
     p = np.array([3.0, -1.0])
-    out, _ = optimizer_step([p], [np.zeros(2)], None, cfg)
-    assert np.array_equal(out[0], p)
+    optimizer_step(p, np.zeros(2), None, cfg)
+    assert np.array_equal(p, [3.0, -1.0])
 
 
 def test_adam_first_step_magnitude():
     # bias-corrected first step is ~lr regardless of gradient scale
     cfg = TrainConfig(learning_rate=0.01, optimizer="adam")
     for c in (2.0, 1e-3, 500.0):
-        out, _ = optimizer_step([np.array([1.0])], [np.array([c])], None,
-                                cfg)
-        step = 1.0 - out[0][0]
+        p = np.array([1.0])
+        optimizer_step(p, np.array([c]), None, cfg)
+        step = 1.0 - p[0]
         assert step == pytest.approx(cfg.learning_rate * c / (c + 1e-8),
                                      rel=1e-9)
 
@@ -203,7 +199,26 @@ def test_adam_first_step_magnitude():
 def test_optimizer_shape_mismatch():
     cfg = TrainConfig(optimizer="sgd")
     with pytest.raises(ValueError):
-        optimizer_step([np.zeros(2)], [np.zeros(3)], None, cfg)
+        optimizer_step(np.zeros(2), np.zeros(3), None, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one flat parameter vector per network
+# ---------------------------------------------------------------------------
+
+def test_layer_rebinding_raises():
+    # rebinding would detach the layer from net.params
+    net = init_he([3, 4, 2], seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.layers[0].w = np.zeros((4, 3))
+
+
+def test_copy_shares_no_memory():
+    net = init_he([3, 4, 2], seed=0)
+    dup = net.copy()
+    assert np.array_equal(dup.params, net.params)
+    for a in [dup.params] + [x for l in dup.layers for x in (l.w, l.b)]:
+        assert not np.shares_memory(a, net.params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Artifact file format: round trips, corruption detection, quantization."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import fxlink as fx
 from fxlink import autoencoder as ae
-from fxlink.paramdelivery import (ArtifactError, ChecksumMismatch,
+from fxlink.neuralnet import n_params
+from fxlink.paramdelivery import (MAGIC, ArtifactError, ChecksumMismatch,
                                   ModelArtifact, UnsupportedVersion,
                                   grid_violations, load_artifact, load_model,
                                   quantize_model, save_model, verify)
@@ -15,6 +19,57 @@ Q16 = fx.make_qformat(16, 3)
 
 def fresh_model(seed=0, hidden=24, layers=5):
     return ae.build_model(fx.OfdmConfig(), hidden, layers, seed=seed)
+
+
+# A small valid artifact to mutate: 8 -> 8 -> 8 encoder, 8 -> 8 decoder
+_SMALL = ModelArtifact.from_model(
+    ae.build_model(fx.OfdmConfig(n_subcarriers=4, cp_len=1), 8, 3, seed=0))
+BASE_HEADER = _SMALL.header
+BASE_PAYLOAD = _SMALL.payload.astype("<f8").tobytes()
+
+
+def head_text(header: dict) -> bytes:
+    return "".join(f"{k}: {json.dumps(v)}\n"
+                   for k, v in sorted(header.items())).encode()
+
+
+def seal(head: bytes, payload: bytes) -> bytes:
+    """An artifact file of header lines and payload, both hashes fresh."""
+    digest = hashlib.sha256(payload).hexdigest()
+    body = MAGIC + f'payload_sha256: "{digest}"\n'.encode() + head \
+        + b"\n" + payload
+    return body + hashlib.sha256(body).digest()
+
+
+# Each case maps (header, payload) to the (header lines, payload) of a
+# malformed artifact whose hashes are then re-sealed.
+MALFORMED = {
+    "payload_not_whole_values": lambda h, p: (head_text(h), p[:-3]),
+    "no_encoder_dims": lambda h, p: (
+        head_text({k: v for k, v in h.items() if k != "encoder_dims"}), p),
+    "dims_as_string": lambda h, p: (
+        head_text({**h, "encoder_dims": "8,8,8"}), p),
+    "negative_dims": lambda h, p: (
+        head_text({**h, "encoder_dims": [8, -8, 8]}), p),
+    "huge_dims": lambda h, p: (
+        head_text({**h, "decoder_dims": [8, 2 ** 62]}), p),
+    "bad_json": lambda h, p: (head_text(h) + b"rate: {\n", p),
+    "deep_json": lambda h, p: (
+        head_text(h) + b"training: " + b"[" * 10 ** 5 + b"]" * 10 ** 5
+        + b"\n", p),
+    "non_ascii_header": lambda h, p: (
+        head_text(h) + b'modulation: "qam\xe9"\n', p),
+    "no_n_subcarriers": lambda h, p: (
+        head_text({k: v for k, v in h.items() if k != "n_subcarriers"}), p),
+    "rate_as_string": lambda h, p: (head_text({**h, "rate": "1"}), p),
+    "unknown_activation": lambda h, p: (
+        head_text({**h, "encoder_activations": ["relu", "tanh"]}), p),
+    "rate_does_not_fit_dims": lambda h, p: (head_text({**h, "rate": 0.5}), p),
+    # 8 -> 16 holds as many values as 8 -> 8 -> 8, but 16 != 8
+    "dims_chain_broken": lambda h, p: (
+        head_text({**h, "encoder_dims": [8, 16],
+                   "encoder_activations": ["linear"]}), p),
+}
 
 
 def test_save_load_roundtrip_bit_exact(tmp_path):
@@ -96,6 +151,48 @@ def test_missing_file_raises_oserror(tmp_path):
         load_artifact(tmp_path / "nope.fxl")
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_raises_artifact_error(tmp_path, case):
+    path = tmp_path / "m.fxl"
+    path.write_bytes(seal(head_text(BASE_HEADER), BASE_PAYLOAD))
+    load_artifact(path).to_model()      # the re-sealed original is valid
+    path.write_bytes(seal(*MALFORMED[case](BASE_HEADER, BASE_PAYLOAD)))
+    with pytest.raises(ArtifactError):
+        load_artifact(path).to_model()
+
+
+# ---------------------------------------------------------------------------
+# payload layout
+# ---------------------------------------------------------------------------
+
+def test_payload_is_encoder_then_decoder_params():
+    model = fresh_model(15)
+    payload = ModelArtifact.from_model(model).payload
+    assert np.array_equal(payload, np.concatenate([model.encoder.params,
+                                                   model.decoder.params]))
+    # the FORMAT.md order, layer by layer
+    want = np.concatenate([a.ravel() for net in (model.encoder,
+                                                 model.decoder)
+                           for l in net.layers for a in (l.w, l.b)])
+    assert np.array_equal(payload, want)
+
+
+def test_layer_write_reaches_params_and_payload():
+    model = fresh_model(16)
+    layer = model.decoder.layers[1]
+    layer.w[2, 3] = 0.625
+    layer.b[1] = -1.5
+    dims = model.decoder.dims
+    at_w = n_params(dims[:2]) + 2 * dims[1] + 3
+    at_b = n_params(dims[:3]) - dims[2] + 1
+    assert model.decoder.params[at_w] == 0.625
+    assert model.decoder.params[at_b] == -1.5
+    payload = ModelArtifact.from_model(model).payload
+    n_enc = model.encoder.params.size
+    assert payload[n_enc + at_w] == 0.625
+    assert payload[n_enc + at_b] == -1.5
+
+
 # ---------------------------------------------------------------------------
 # quantization
 # ---------------------------------------------------------------------------
@@ -103,9 +200,7 @@ def test_missing_file_raises_oserror(tmp_path):
 def test_quantize_on_grid_model_unchanged():
     model = fresh_model(8)
     for net in (model.encoder, model.decoder):
-        for layer in net.layers:
-            layer.w = fx.quantize(layer.w, Q16).values
-            layer.b = fx.quantize(layer.b, Q16).values
+        net.params[...] = fx.quantize(net.params, Q16).values
     qm = quantize_model(model, Q16)
     assert qm.saturated_params == 0
     for ql, fl in zip(qm.encoder.layers, model.encoder.layers):
@@ -131,6 +226,8 @@ def test_quantize_idempotent():
         assert np.array_equal(a.w.raw, b.w.raw)
         assert np.array_equal(a.b.raw, b.b.raw)
     assert grid_violations(back, Q16) == 0
+    back.encoder.layers[0].w[0, 0] = 16.0   # a multiple of the step, too big
+    assert grid_violations(back, Q16) == 1
 
 
 def test_no_saturation_when_params_in_range():
@@ -181,9 +278,10 @@ def test_verify_grid_violation_reported(tmp_path):
 
     art = load_artifact(path)
     art.payload[7] += Q16.step / 3  # push one weight off the grid
+    art.payload[8] = -16.0          # on the step, below the range
     bad = verify(art)
     assert bad.grid_ok is False
-    assert any("grid" in p for p in bad.problems)
+    assert any("2 parameters off" in p for p in bad.problems)
 
 
 def test_verify_empty_payload_fails_dims():
@@ -194,3 +292,11 @@ def test_verify_empty_payload_fails_dims():
     report = verify(art)
     assert not report.dims_ok
     assert not report.all_ok
+
+
+def test_verify_reports_broken_dims_chain():
+    art = ModelArtifact.from_model(fresh_model(17))
+    art.header["decoder_dims"] = [16] + art.header["decoder_dims"][1:]
+    report = verify(art)
+    assert not report.dims_ok
+    assert "encoder output dim != decoder input dim" in report.problems
