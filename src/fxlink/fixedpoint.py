@@ -6,12 +6,17 @@ overflow and round half to even, matching common DSP synthesis defaults.
 Dot products accumulate at full precision (no intermediate rounding) and
 requantize exactly once, the way a pipelined MAC array does.
 
-The MAC array (`fx_linear`) runs on float64 BLAS and stays bit-exact.  A
-float64 holds every integer up to 2**53, and a product of two t-bit raws is
-at most 2**(2t-2) in magnitude.  Where (n_in + 1) * 2**(2t-2) <= 2**53, one
-GEMM on the raw integers forms only such integers, bias included.  Wider
-accumulators split the weights into limbs whose GEMMs each stay below 2**53
-and recombine them in int64: the error-free splitting of Ozaki, Ogita,
+The MAC array runs on float64 BLAS and stays bit-exact.  It is
+weight-stationary: a `MacArray` loads a layer's operands once (the float64
+GEMM operands of the weights, the bias at accumulator scale and the clamp
+bounds), and each call runs only the MAC pass on its input.  ReLU is fused
+into the saturating clamp.  `fx_linear` loads, then calls.
+
+A float64 holds every integer up to 2**53, and a product of two t-bit raws
+is at most 2**(2t-2) in magnitude.  Where (n_in + 1) * 2**(2t-2) <= 2**53,
+one GEMM on the raw integers forms only such integers, bias included.
+Wider accumulators split the weights into limbs whose GEMMs each stay below
+2**53 and recombine them in int64: the error-free splitting of Ozaki, Ogita,
 Oishi & Rump, "Error-free transformations of matrix multiplication by using
 fast routines of matrix multiplication and its applications" (Numer.
 Algorithms, 2012).
@@ -19,7 +24,7 @@ Algorithms, 2012).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -123,15 +128,16 @@ def quantize(x, q: QFormat):
     FixedScalar for scalar input, a FixedTensor otherwise.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("quantize requires finite input")
     # Scaling by a power of two is exact in float64, so np.rint applies the
     # half-even rule to the mathematically exact scaled value.
     raw = np.rint(arr * q.scale)
-    raw = np.clip(raw, q.raw_min, q.raw_max).astype(np.int64)
     if arr.ndim == 0:
-        return FixedScalar(int(raw), q)
-    return FixedTensor(raw, q)
+        return FixedScalar(_saturate(raw, q), q)
+    # ndarray.clip skips np.clip's Python wrapper
+    return FixedTensor(raw.clip(q.raw_min, q.raw_max, out=raw)
+                       .astype(np.int64), q)
 
 
 def dequantize(f):
@@ -201,9 +207,30 @@ def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
               q: QFormat) -> FixedTensor:
     """Batched MAC array: rows of x against rows of w, plus bias.
 
-    x: [n, in] (or [in]); w: [out, in]; b: [out].  Each output is one MAC
+    x: [n, in] (or [in]); w: [out, in]; b: [out].  Loads the operands into
+    a MacArray and runs one MAC pass on x; MacArray describes the
+    arithmetic.  A network layer loads its MacArray once, when it is
+    quantized, and calls it on every input instead.
+    """
+    return MacArray(w, b, q)(x)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class MacArray:
+    """A MAC array with its operands loaded: weight-stationary, like the
+    hardware, so each call runs only the MAC pass on its input.
+
+    Built from w: [out, in], b: [out] and their format.  Loading converts
+    w to the float64 GEMM operands described below, puts the bias at
+    accumulator scale and fixes the clamp bounds [lo, raw_max]: lo is
+    raw_min, or 0 with relu=True.  ReLU fused into the clamp is exact,
+    relu(sat(a)) = clamp(a, 0, raw_max), because 0 lies on every grid;
+    Jacob et al. (arXiv 1712.05877) fold activations into the output clamp
+    of the integer GEMM the same way.
+
+    Calling it on x: [n, in] (or [in]) gives, per output, one MAC
     pipeline: the exact accumulator x.w + b * 2**f, divided by 2**f,
-    rounded half to even and saturated.  With t = total_bits,
+    rounded half to even and clamped.  With t = total_bits,
     f = frac_bits and |raw| <= 2**(t-1), it is computed by float64 GEMMs
     on the raw integers, each exact because no value it forms exceeds
     2**53 in magnitude:
@@ -225,68 +252,106 @@ def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
       magnitude 2**(L+t+1) or more saturates the result with its own sign
       whatever they add.  Clamping the top word to that magnitude before
       each shift keeps it inside int64 and saturates it the same way.
+      The loaded limbs take (t-1)/k times the memory of w in float64.
 
     Raises ValueError when no limb of k >= 1 bits exists, that is for
     n_in > 2**(52-t) (2**20 at 32 bits).
     """
-    if x.fmt != q or w.fmt != q or b.fmt != q:
-        raise FormatMismatchError("all operands must be in the target format")
-    xr = x.raw
-    single = xr.ndim == 1
-    if single:
-        xr = xr[None, :]
-    if w.raw.ndim != 2 or xr.shape[1] != w.raw.shape[1]:
-        raise ValueError(
-            f"shape mismatch: x {x.raw.shape} vs w {w.raw.shape}")
-    if b.raw.shape != (w.raw.shape[0],):
-        raise ValueError(f"bias shape {b.raw.shape} vs out {w.raw.shape[0]}")
-    n_in = xr.shape[1]
-    xf = xr.astype(np.float64)
-    if (n_in + 1) << (2 * q.total_bits - 2) <= 1 << 53:
-        acc = xf @ w.raw.T.astype(np.float64)
-        acc += b.raw << q.frac_bits
-        acc *= q.step
-        np.rint(acc, out=acc)
-        raw = np.clip(acc, q.raw_min, q.raw_max, out=acc)
-    else:
-        raw = _limb_mac(xf, w.raw, b.raw, q)
-    raw = raw.astype(np.int64, copy=False)
-    if single:
-        raw = raw[0]
-    return FixedTensor(raw, q)
 
+    w: InitVar[FixedTensor]
+    b: InitVar[FixedTensor]
+    fmt: QFormat
+    relu: bool = False
+    shape: tuple = field(init=False)         # (out, in) of w
+    # (lo, raw_max) in the accumulator's dtype, which ndarray.clip reads
+    # fastest
+    bounds: tuple = field(init=False)
+    # one-GEMM regime: w.T in float64 and b * 2**f; limbs is empty
+    wt: np.ndarray | None = field(init=False, repr=False)
+    # limb regime: (s, float64 limb.T) from the top limb down, b as int64
+    # (the accumulator's high word) and the top word's clamp cap
+    limbs: tuple = field(init=False, repr=False)
+    bias: np.ndarray = field(init=False, repr=False)
+    k: int = field(init=False)
+    cap: np.int64 = field(init=False)
 
-def _limb_mac(xf: np.ndarray, w: np.ndarray, b: np.ndarray, q: QFormat):
-    """The limb regime of fx_linear; returns saturated int64 raws."""
-    t, f = q.total_bits, q.frac_bits
-    n_bits = (xf.shape[1] - 1).bit_length()
-    k = 52 - (t - 1) - n_bits
-    if k < 1:
-        raise ValueError(
-            f"{q} cannot accumulate {xf.shape[1]} products exactly in "
-            "float64 limbs")
-    shifts = range(0, t - 1, k)
-    cap = 1 << (n_bits + t + 1)
-    hi, lo, top = b.astype(np.int64), 0, None
-    for s in reversed(shifts):
-        limb = w >> s if s == shifts[-1] else (w >> s) & ((1 << k) - 1)
-        p = (xf @ limb.T.astype(np.float64)).astype(np.int64)
-        if s >= f:
-            top = p if top is None else (np.clip(top, -cap, cap) << k) + p
-            top_shift = s - f
+    def __post_init__(self, w: FixedTensor, b: FixedTensor):
+        q = self.fmt
+        if w.fmt != q or b.fmt != q:
+            raise FormatMismatchError(
+                "all operands must be in the target format")
+        if w.raw.ndim != 2:
+            raise ValueError(f"weights must be [out, in], got {w.raw.shape}")
+        if b.raw.shape != (w.raw.shape[0],):
+            raise ValueError(
+                f"bias shape {b.raw.shape} vs out {w.raw.shape[0]}")
+        t, f = q.total_bits, q.frac_bits
+        n_in = w.raw.shape[1]
+        wt, limbs, k, cap = None, (), 0, 0
+        if (n_in + 1) << (2 * t - 2) <= 1 << 53:
+            acc_type = np.float64
+            wt = w.raw.T.astype(np.float64)
+            bias = b.raw * float(1 << f)        # exact: within 2**53
         else:
-            hi = hi + (p >> (f - s))
-            p &= (1 << (f - s)) - 1
-            p <<= s
-            lo = lo + p
-    if top is not None:
-        hi += np.clip(top, -cap, cap) << top_shift
-    hi += lo >> f
-    lo &= (1 << f) - 1
-    raw = _round_half_even(hi, lo, f)
-    return np.clip(raw, q.raw_min, q.raw_max, out=raw)
+            acc_type = np.int64
+            bias = b.raw.astype(np.int64)
+            n_bits = (n_in - 1).bit_length()
+            k = 52 - (t - 1) - n_bits
+            if k < 1:
+                raise ValueError(f"{q} cannot accumulate {n_in} products "
+                                 "exactly in float64 limbs")
+            cap = np.int64(1 << (n_bits + t + 1))
+            shifts = range(0, t - 1, k)
+            limbs = tuple(
+                (s, (w.raw >> s if s == shifts[-1]
+                     else (w.raw >> s) & ((1 << k) - 1)).T.astype(np.float64))
+                for s in reversed(shifts))
+        lo = 0 if self.relu else q.raw_min
+        for name, value in (("shape", w.raw.shape), ("wt", wt),
+                            ("limbs", limbs), ("bias", bias), ("k", k),
+                            ("cap", cap),
+                            ("bounds", (acc_type(lo), acc_type(q.raw_max)))):
+            object.__setattr__(self, name, value)
 
+    def __call__(self, x: FixedTensor) -> FixedTensor:
+        """One MAC pass over x: [n, in] or [in]; same shape out, [.., out]."""
+        q = self.fmt
+        if x.fmt != q:
+            raise FormatMismatchError(
+                "all operands must be in the target format")
+        if x.raw.ndim not in (1, 2) or x.raw.shape[-1] != self.shape[1]:
+            raise ValueError(
+                f"shape mismatch: x {x.raw.shape} vs w {self.shape}")
+        if self.wt is not None:
+            # x in float64 is freed right after the GEMM, and the int64
+            # result below can reuse its memory
+            acc = x.raw.astype(np.float64) @ self.wt
+            acc += self.bias
+            acc *= q.step
+            np.rint(acc, out=acc)
+        else:
+            acc = self._limb_pass(x.raw.astype(np.float64))
+        acc.clip(*self.bounds, out=acc)
+        return FixedTensor(acc.astype(np.int64, copy=False), q)
 
-def relu_raw(t: FixedTensor) -> FixedTensor:
-    """ReLU on raw integers; exact because zero lies on every grid."""
-    return FixedTensor(np.maximum(t.raw, 0), t.fmt)
+    def _limb_pass(self, xf: np.ndarray) -> np.ndarray:
+        """The limb regime up to the clamp; returns rounded int64 raws."""
+        f, k, cap = self.fmt.frac_bits, self.k, self.cap
+        hi, lo, top = self.bias, 0, None
+        for s, limb in self.limbs:
+            p = (xf @ limb).astype(np.int64)
+            if s >= f:
+                top = p if top is None else \
+                    (top.clip(-cap, cap, out=top) << k) + p
+                top_shift = s - f
+            else:
+                hi = hi + (p >> (f - s))
+                p &= (1 << (f - s)) - 1
+                p <<= s
+                lo = lo + p
+        # the bottom limb (s = 0 < f) has rebound hi to a fresh array
+        if top is not None:
+            hi += top.clip(-cap, cap, out=top) << top_shift
+        hi += lo >> f
+        lo &= (1 << f) - 1
+        return _round_half_even(hi, lo, f)

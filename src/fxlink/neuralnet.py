@@ -3,18 +3,20 @@
 The float path (64-bit throughout) is what the learning side trains and
 what serves as the reference for implementation-error measurements.  The
 fixed path evaluates the same network on quantized weights with one MAC
-accumulation + requantization per neuron, mirroring a hardware layer.
+accumulation + requantization per neuron, mirroring a hardware layer:
+each quantized layer loads its MAC operands once, when it is built, and
+fuses its ReLU into the saturating clamp.
 Both paths expose every layer's post-activation output so the error
 introduced by the fixed datapath can be tracked layer by layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import (FixedTensor, QFormat, fx_linear, quantize, relu_raw,
+from .fixedpoint import (FixedTensor, MacArray, QFormat, quantize,
                          saturation_count)
 
 ACTIVATIONS = ("relu", "linear")
@@ -223,11 +225,19 @@ def optimizer_step(params, grads, state, cfg: TrainConfig):
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedLayer:
+    """A dense layer on the grid, with its MAC operands loaded once: mac
+    runs the layer (MAC pass, ReLU fused into the clamp) on an input."""
+
     w: FixedTensor
     b: FixedTensor
     activation: str
+    mac: MacArray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mac", MacArray(
+            self.w, self.b, self.w.fmt, self.activation == "relu"))
 
 
 @dataclass
@@ -253,8 +263,13 @@ class QuantizedNet:
 
 
 def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
-    """Snap every weight and bias of a float net onto fmt's grid."""
+    """Snap every weight and bias of a float net onto fmt's grid.
+
+    The raws are read-only: the layers' loaded MAC operands are copies, so
+    a write to a raw would leave them stale.
+    """
     q = quantize(net.params, fmt)
+    q.raw.flags.writeable = False
     layers = [QuantizedLayer(FixedTensor(w, fmt), FixedTensor(b, fmt),
                              l.activation)
               for (w, b), l in zip(layer_views(q.raw, net.dims), net.layers)]
@@ -264,10 +279,11 @@ def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
 def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     """Fixed-point forward pass on the quantized datapath.
 
-    The input is quantized once; each layer is one fx_linear MAC pass and
-    relu acts directly on raw integers.  Returns (y, per_layer) where y is
-    the dequantized output (vector or batch, matching x) and per_layer is
-    the list of FixedTensor taps.
+    The input is quantized once; each layer is one call of its loaded
+    MacArray, whose saturating clamp also applies the layer's relu (exact,
+    since 0 lies on every grid).  Returns (y, per_layer) where y is the
+    dequantized output (vector or batch, matching x) and per_layer is the
+    list of FixedTensor taps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != qnet.dims[0]:
@@ -276,8 +292,6 @@ def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     a = quantize(x, qnet.fmt)
     per_layer = []
     for layer in qnet.layers:
-        a = fx_linear(a, layer.w, layer.b, qnet.fmt)
-        if layer.activation == "relu":
-            a = relu_raw(a)
+        a = layer.mac(a)
         per_layer.append(a)
     return a.values, per_layer

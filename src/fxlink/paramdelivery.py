@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderModel
-from .fixedpoint import QFormat, make_qformat
+from .fixedpoint import BitAllocationError, QFormat, make_qformat
 from .neuralnet import (FCNet, DenseLayer, QuantizedNet, layer_views,
                         n_params, quantize_net)
 from .ofdmlink import OfdmConfig
@@ -70,10 +70,9 @@ class ModelArtifact:
 
     @property
     def qformat(self) -> QFormat | None:
-        q = self.header.get("qformat")
-        if q is None:
-            return None
-        return make_qformat(q["total_bits"], q["int_bits"])
+        """The declared target format, None if none; ArtifactError if the
+        header's qformat is malformed (load_artifact rejects those)."""
+        return _header_qformat(self.header)
 
     def to_model(self) -> AutoencoderModel:
         """The codec the artifact describes; ArtifactError if it is none."""
@@ -123,18 +122,37 @@ def _decode_header(raw: bytes) -> dict:
     return header
 
 
+def _header_qformat(h: dict) -> QFormat | None:
+    """Header h's qformat: None, or a dict of two ints make_qformat takes."""
+    q = h.get("qformat")
+    if q is None:
+        return None
+    if not (type(q) is dict and q.keys() == {"total_bits", "int_bits"}
+            and all(type(v) is int for v in q.values())):
+        raise ArtifactError(f"qformat {q!r} is not null or "
+                            '{"total_bits": int, "int_bits": int}')
+    try:
+        return make_qformat(q["total_bits"], q["int_bits"])
+    except BitAllocationError as exc:
+        raise ArtifactError(f"qformat {q!r}: {exc}") from exc
+
+
 def _header_problems(h: dict, n_bytes: int) -> list[str]:
-    """What keeps the dims chains of header h from describing a payload of
-    n_bytes: dims that are not two or more positive ints with one
+    """What keeps header h from describing a payload of n_bytes: a
+    malformed qformat, dims that are not two or more positive ints with one
     activation per weight layer, a broken chain, the wrong payload size."""
+    bad = []
+    try:
+        _header_qformat(h)
+    except ArtifactError as exc:
+        bad.append(str(exc))
     for side in ("encoder", "decoder"):
         dims, acts = h.get(f"{side}_dims"), h.get(f"{side}_activations")
         if not (type(dims) is list and len(dims) >= 2
                 and all(type(d) is int and d > 0 for d in dims)
                 and type(acts) is list and len(acts) == len(dims) - 1):
-            return [f"{side}_dims/activations missing or mistyped"]
+            return bad + [f"{side}_dims/activations missing or mistyped"]
     enc, dec = h["encoder_dims"], h["decoder_dims"]
-    bad = []
     if enc[-1] != dec[0]:
         bad.append("encoder output dim != decoder input dim")
     n = 8 * (n_params(enc) + n_params(dec))
@@ -218,7 +236,7 @@ def grid_violations(model: AutoencoderModel, q: QFormat) -> int:
 
 @dataclass
 class VerifyReport:
-    dims_ok: bool
+    dims_ok: bool            # header: qformat and dims chains well-formed
     checksum_ok: bool
     grid_ok: bool | None     # None when the artifact declares no Q-format
     problems: list[str]
@@ -241,8 +259,8 @@ def verify(artifact: ModelArtifact) -> VerifyReport:
         problems.append("payload hash mismatch")
 
     grid_ok = None
-    q = artifact.qformat
-    if q is not None and dims_ok:
+    q = artifact.qformat if dims_ok else None
+    if q is not None:
         n_off = _n_off_grid(artifact.payload, q)
         grid_ok = n_off == 0
         if not grid_ok:

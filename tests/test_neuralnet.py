@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fxlink.fixedpoint import make_qformat
+from fxlink.fixedpoint import FixedTensor, fx_linear, make_qformat, quantize
 from fxlink.neuralnet import (DenseLayer, FCNet, TrainConfig, backward,
                               forward_fixed, forward_float, init_he,
                               optimizer_step, quantize_net)
@@ -246,13 +246,41 @@ def test_fixed_32bit_close_to_float():
 
 
 def test_relu_on_raw_equals_relu_then_quantize():
+    # an identity relu layer applies relu in its fused saturating clamp
     rng = np.random.default_rng(8)
-    x = rng.uniform(-3, 3, size=1000)
-    from fxlink.fixedpoint import quantize, relu_raw
-    q = quantize(x, Q16)
-    a = relu_raw(q).values
-    b = quantize(np.maximum(x, 0.0), Q16).values
-    assert np.array_equal(a, b)
+    x = rng.uniform(-3, 3, size=(250, 4))
+    _, (tap,) = forward_fixed(quantize_net(identity_net(4, "relu"), Q16), x)
+    b = quantize(np.maximum(x, 0.0), Q16)
+    assert np.array_equal(tap.values, b.values)
+    assert np.array_equal(tap.raw, b.raw)
+
+
+@pytest.mark.parametrize("bits", [16, 32])      # one GEMM, weight limbs
+def test_fx_linear_equals_loaded_layer(bits):
+    q = make_qformat(bits, 3)
+    rng = np.random.default_rng(bits)
+    net = init_he([12, 9, 5], ["relu", "linear"], seed=bits)
+    qnet = quantize_net(net, q)
+    for x in (rng.uniform(-2, 2, size=12), rng.uniform(-2, 2, size=(7, 12))):
+        a = quantize(x, q)
+        for layer in qnet.layers:
+            want = fx_linear(a, layer.w, layer.b, q).raw
+            if layer.activation == "relu":
+                want = np.maximum(want, 0)
+            got = layer.mac(a)
+            assert got.fmt == q and np.array_equal(got.raw, want)
+            a = got
+
+
+def test_quantized_raw_is_read_only():
+    # each layer loaded its MAC operands from these raws when it was built
+    qnet = quantize_net(init_he([3, 4, 2], seed=0), Q16)
+    with pytest.raises(ValueError):
+        qnet.layers[0].w.raw[0, 0] = 1
+    with pytest.raises(ValueError):
+        qnet.layers[1].b.raw[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        qnet.layers[0].w = FixedTensor(np.zeros((4, 3), np.int64), Q16)
 
 
 def test_per_layer_taps_align_between_engines():

@@ -69,6 +69,14 @@ MALFORMED = {
     "dims_chain_broken": lambda h, p: (
         head_text({**h, "encoder_dims": [8, 16],
                    "encoder_activations": ["linear"]}), p),
+    "qformat_as_string": lambda h, p: (head_text({**h, "qformat": "abc"}), p),
+    "qformat_as_list": lambda h, p: (head_text({**h, "qformat": [16, 3]}), p),
+    "qformat_no_int_bits": lambda h, p: (
+        head_text({**h, "qformat": {"total_bits": 16}}), p),
+    "qformat_float_bits": lambda h, p: (
+        head_text({**h, "qformat": {"total_bits": 16.0, "int_bits": 3}}), p),
+    "qformat_99_bits": lambda h, p: (
+        head_text({**h, "qformat": {"total_bits": 99, "int_bits": 3}}), p),
 }
 
 
@@ -292,6 +300,18 @@ def test_verify_empty_payload_fails_dims():
     report = verify(art)
     assert not report.dims_ok
     assert not report.all_ok
+
+
+def test_verify_reports_malformed_qformat():
+    art = ModelArtifact.from_model(fresh_model(18))
+    for bad in ("abc", {"total_bits": 16},
+                {"total_bits": 99, "int_bits": 3}):
+        art.header["qformat"] = bad
+        report = verify(art)
+        assert not report.dims_ok and report.grid_ok is None
+        assert any(p.startswith("qformat") for p in report.problems)
+        with pytest.raises(ArtifactError):
+            art.qformat
 
 
 def test_verify_reports_broken_dims_chain():
