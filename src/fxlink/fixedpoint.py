@@ -12,14 +12,18 @@ GEMM operands of the weights, the bias at accumulator scale and the clamp
 bounds), and each call runs only the MAC pass on its input.  ReLU is fused
 into the saturating clamp.  `fx_linear` loads, then calls.
 
-A float64 holds every integer up to 2**53, and a product of two t-bit raws
-is at most 2**(2t-2) in magnitude.  Where (n_in + 1) * 2**(2t-2) <= 2**53,
-one GEMM on the raw integers forms only such integers, bias included.
-Wider accumulators split the weights into limbs whose GEMMs each stay below
-2**53 and recombine them in int64: the error-free splitting of Ozaki, Ogita,
-Oishi & Rump, "Error-free transformations of matrix multiplication by using
-fast routines of matrix multiplication and its applications" (Numer.
-Algorithms, 2012).
+A float64 holds every integer up to 2**53.  With t = total_bits and
+f = frac_bits, an input raw is at most 2**(t-1) in magnitude, so every
+partial sum of output j's accumulator is within
+2**(t-1) * ||w_j||_1 + |b_j| * 2**f, where ||w_j||_1 is the L1 norm of the
+weight row the layer loads.  Where that bound is at most 2**53 for every
+row, one GEMM on the raw integers forms only integers a float64 holds
+exactly.  Otherwise the layer splits its weights into limbs whose GEMMs
+each stay within 2**53 and recombines them in int64: the error-free
+splitting of Ozaki, Ogita, Oishi & Rump, "Error-free transformations of
+matrix multiplication by using fast routines of matrix multiplication and
+its applications" (Numer. Algorithms, 2012), sized to the weights actually
+loaded.
 """
 
 from __future__ import annotations
@@ -208,11 +212,29 @@ def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
     """Batched MAC array: rows of x against rows of w, plus bias.
 
     x: [n, in] (or [in]); w: [out, in]; b: [out].  Loads the operands into
-    a MacArray and runs one MAC pass on x; MacArray describes the
+    a streamed MacArray and runs one MAC pass on x; MacArray describes the
     arithmetic.  A network layer loads its MacArray once, when it is
     quantized, and calls it on every input instead.
     """
-    return MacArray(w, b, q)(x)
+    return MacArray(w, b, q, stream=True)(x)
+
+
+def _fits(row_l1, bias_acc, t: int) -> bool:
+    """2**(t-1) * row_l1 + bias_acc <= 2**53 for every row.
+
+    Compared as row_l1 <= (2**53 - bias_acc) // 2**(t-1), which is the same
+    test on integers and cannot overflow int64.
+    """
+    return bool(np.all(row_l1 <= ((1 << 53) - bias_acc) >> (t - 1)))
+
+
+def _limb(w: np.ndarray, s: int, signed: bool, k: int) -> np.ndarray:
+    """The GEMM operand of weight limb s: (w >> s).T in float64, the signed
+    top limb whole, a lower limb cut to its k unsigned bits."""
+    limb = w >> s
+    if not signed:
+        limb &= (1 << k) - 1
+    return limb.T.astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -231,20 +253,26 @@ class MacArray:
     Calling it on x: [n, in] (or [in]) gives, per output, one MAC
     pipeline: the exact accumulator x.w + b * 2**f, divided by 2**f,
     rounded half to even and clamped.  With t = total_bits,
-    f = frac_bits and |raw| <= 2**(t-1), it is computed by float64 GEMMs
-    on the raw integers, each exact because no value it forms exceeds
-    2**53 in magnitude:
+    f = frac_bits and |x| <= 2**(t-1), it is computed by float64 GEMMs
+    on the raw integers.  Each is exact because any partial sum BLAS forms
+    is an integer sum of a subset of a row's products, within 2**53 by the
+    row L1 norms of the weights loaded:
 
-    * One GEMM when (n_in + 1) * 2**(2t-2) <= 2**53 (Q16 up to n_in =
-      2**23 - 1).  Every partial sum, the bias b * 2**f included, is an
-      integer within 2**53; the scale by 2**-f is exact and np.rint rounds
-      the exact quotient half to even.
+    * One GEMM when 2**(t-1) * ||w_j||_1 + |b_j| * 2**f <= 2**53 for every
+      output row j.  Every partial sum, the bias b * 2**f added after it
+      included, is an integer within 2**53; the scale by 2**-f is exact and
+      np.rint rounds the exact quotient half to even.  A trained codec
+      usually takes this path up to Q24; at worst (every |w| = 2**(t-1))
+      it needs (n_in + 1) * 2**(2t-2) <= 2**53.
     * Limbs otherwise.  With L = (n_in - 1).bit_length(), so n_in <= 2**L,
-      the weights split into unsigned limbs of k = 52 - (t-1) - L bits and
-      a signed top limb within 2**k in magnitude; each limb GEMM sums n_in
-      products of at most 2**(t-1+k), so it stays within 2**52.  The
-      limbs recombine in int64 as hi * 2**f + lo with 0 <= lo < 2**f:
-      limbs below the binary point split into a floor part for hi and a
+      the weights split into unsigned limbs of k = 52 - (t-1) - L bits
+      below a signed top limb w >> s_top.  Each lower limb GEMM sums n_in
+      products of less than 2**(t-1+k), so it stays within 2**52.  s_top
+      is the lowest multiple of k at which
+      2**(t-1) * max_j ||(w >> s_top)_j||_1 <= 2**53; the largest multiple
+      below t-1 always qualifies, since there |w >> s| <= 2**k.  The limbs
+      recombine in int64 as hi * 2**f + lo with 0 <= lo < 2**f: limbs
+      below the binary point split into a floor part for hi and a
       remainder for lo, lo carries into hi, and the half-even rounding
       reads lo.  Limbs at bit s >= f and above form the top word
       x.(w >> s) by Horner's rule.  In units of 2**s, the lower limbs and
@@ -252,30 +280,37 @@ class MacArray:
       magnitude 2**(L+t+1) or more saturates the result with its own sign
       whatever they add.  Clamping the top word to that magnitude before
       each shift keeps it inside int64 and saturates it the same way.
-      The loaded limbs take (t-1)/k times the memory of w in float64.
+      The loaded limbs take one float64 copy of w each; at worst (t-1)/k.
+
+    stream=True makes a one-shot array, as fx_linear does: in the limb
+    regime it keeps w's raws and builds each limb inside the call, uses it
+    and drops it, so one limb is alive at a time instead of all of them.
 
     Raises ValueError when no limb of k >= 1 bits exists, that is for
-    n_in > 2**(52-t) (2**20 at 32 bits).
+    n_in > 2**(52-t) (2**20 at 32 bits), whatever the weights.
     """
 
     w: InitVar[FixedTensor]
     b: InitVar[FixedTensor]
     fmt: QFormat
     relu: bool = False
+    stream: InitVar[bool] = False
     shape: tuple = field(init=False)         # (out, in) of w
     # (lo, raw_max) in the accumulator's dtype, which ndarray.clip reads
     # fastest
     bounds: tuple = field(init=False)
     # one-GEMM regime: w.T in float64 and b * 2**f; limbs is empty
     wt: np.ndarray | None = field(init=False, repr=False)
-    # limb regime: (s, float64 limb.T) from the top limb down, b as int64
-    # (the accumulator's high word) and the top word's clamp cap
+    # limb regime: (s, float64 limb.T) from the top limb down, or (s, None)
+    # with the int64 raws in w_raw when streamed; b as int64 (the
+    # accumulator's high word) and the top word's clamp cap
     limbs: tuple = field(init=False, repr=False)
+    w_raw: np.ndarray | None = field(init=False, repr=False)
     bias: np.ndarray = field(init=False, repr=False)
     k: int = field(init=False)
     cap: np.int64 = field(init=False)
 
-    def __post_init__(self, w: FixedTensor, b: FixedTensor):
+    def __post_init__(self, w: FixedTensor, b: FixedTensor, stream: bool):
         q = self.fmt
         if w.fmt != q or b.fmt != q:
             raise FormatMismatchError(
@@ -286,30 +321,33 @@ class MacArray:
             raise ValueError(
                 f"bias shape {b.raw.shape} vs out {w.raw.shape[0]}")
         t, f = q.total_bits, q.frac_bits
-        n_in = w.raw.shape[1]
-        wt, limbs, k, cap = None, (), 0, 0
-        if (n_in + 1) << (2 * t - 2) <= 1 << 53:
+        n_bits = (w.raw.shape[1] - 1).bit_length()
+        k = 52 - (t - 1) - n_bits
+        if k < 1:
+            raise ValueError(f"{q} cannot accumulate {w.raw.shape[1]} "
+                             "products exactly in float64 limbs")
+        # int64 holds |raw_min| at every width, and row L1 norms up to
+        # n_in * 2**(t-1) <= 2**51
+        w_raw = w.raw.astype(np.int64, copy=False)
+        b_raw = b.raw.astype(np.int64, copy=False)
+        wt, limbs, kept, cap = None, (), None, 0
+        if _fits(np.abs(w_raw).sum(axis=1), np.abs(b_raw) << f, t):
             acc_type = np.float64
-            wt = w.raw.T.astype(np.float64)
-            bias = b.raw * float(1 << f)        # exact: within 2**53
+            wt = w_raw.T.astype(np.float64)
+            bias = b_raw * float(1 << f)        # exact: within 2**53
         else:
             acc_type = np.int64
-            bias = b.raw.astype(np.int64)
-            n_bits = (n_in - 1).bit_length()
-            k = 52 - (t - 1) - n_bits
-            if k < 1:
-                raise ValueError(f"{q} cannot accumulate {n_in} products "
-                                 "exactly in float64 limbs")
+            bias = b_raw.copy()
             cap = np.int64(1 << (n_bits + t + 1))
-            shifts = range(0, t - 1, k)
-            limbs = tuple(
-                (s, (w.raw >> s if s == shifts[-1]
-                     else (w.raw >> s) & ((1 << k) - 1)).T.astype(np.float64))
-                for s in reversed(shifts))
+            top = next(s for s in range(0, t - 1, k)
+                       if _fits(np.abs(w_raw >> s).sum(axis=1), 0, t))
+            kept = w_raw if stream else None
+            limbs = tuple((s, None if stream else _limb(w_raw, s, s == top, k))
+                          for s in range(top, -1, -k))
         lo = 0 if self.relu else q.raw_min
         for name, value in (("shape", w.raw.shape), ("wt", wt),
-                            ("limbs", limbs), ("bias", bias), ("k", k),
-                            ("cap", cap),
+                            ("limbs", limbs), ("w_raw", kept),
+                            ("bias", bias), ("k", k), ("cap", cap),
                             ("bounds", (acc_type(lo), acc_type(q.raw_max)))):
             object.__setattr__(self, name, value)
 
@@ -338,8 +376,11 @@ class MacArray:
         """The limb regime up to the clamp; returns rounded int64 raws."""
         f, k, cap = self.fmt.frac_bits, self.k, self.cap
         hi, lo, top = self.bias, 0, None
-        for s, limb in self.limbs:
+        for i, (s, limb) in enumerate(self.limbs):
+            if limb is None:                # streamed: build, use, drop
+                limb = _limb(self.w_raw, s, i == 0, k)
             p = (xf @ limb).astype(np.int64)
+            del limb
             if s >= f:
                 top = p if top is None else \
                     (top.clip(-cap, cap, out=top) << k) + p

@@ -5,6 +5,16 @@ import pytest
 import fxlink as fx
 from fxlink import autoencoder as ae
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # a failing property prints the blob that reproduces it; each test
+    # keeps its own max_examples and deadline
+    settings.register_profile("fxlink", print_blob=True)
+    settings.load_profile("fxlink")
+
 REF_SEED = 0
 REF_HIDDEN = 128
 REF_LAYERS = 5
