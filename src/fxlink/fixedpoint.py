@@ -285,6 +285,8 @@ class MacArray:
     stream=True makes a one-shot array, as fx_linear does: in the limb
     regime it keeps w's raws and builds each limb inside the call, uses it
     and drops it, so one limb is alive at a time instead of all of them.
+    A network layer keeps its limbs loaded: rebuilding them costs more
+    than their GEMMs at small batches.
 
     Raises ValueError when no limb of k >= 1 bits exists, that is for
     n_in > 2**(52-t) (2**20 at 32 bits), whatever the weights.

@@ -143,28 +143,22 @@ _MC_TARGET_ERRORS = 100
 def ber_sweep(model, engine: str, channel: str, snr_list,
               min_bits: int = 100_000, max_bits: int = 2_000_000,
               rng: np.random.Generator | None = None, seed: int = 0,
-              equalize: bool = True,
-              ofdm_cfg: OfdmConfig | None = None) -> BerCurve:
+              equalize: bool = True) -> BerCurve:
     """Monte-Carlo BER over the end-to-end chain.
 
     Each SNR point accumulates blocks until at least 100 bit errors have
     been seen and min_bits simulated, or max_bits is reached.  model=None
-    runs the uncoded reference chain: 4-QAM straight onto the subcarriers
-    of ofdm_cfg (default OfdmConfig()), no networks.  A model brings its
-    own config, and a different ofdm_cfg raises ValueError.  equalize
-    selects ZF before the decoder, or before the 4-QAM decisions of the
-    uncoded chain.
+    runs the uncoded reference chain: 4-QAM straight onto the subcarriers,
+    no networks.  equalize selects ZF before the decoder, or before the
+    4-QAM decisions of the uncoded chain.
     """
     if min_bits < 10_000:
         raise ValueError("min_bits must be at least 10,000 per point")
-    if model is not None and ofdm_cfg not in (None, model.ofdm):
-        raise ValueError(f"ofdm_cfg {ofdm_cfg} differs from the model's "
-                         f"{model.ofdm}")
     if rng is None:
         rng = np.random.default_rng(seed)
     uncoded = model is None
     if uncoded:
-        cfg = ofdm_cfg or OfdmConfig()
+        cfg = OfdmConfig()
         mid = "uncoded"
         n_tx = cfg.n_subcarriers
     else:

@@ -140,19 +140,6 @@ def test_ber_uncoded_equalize_flag():
     assert point("awgn", 7.0, False) == awgn_zf
 
 
-def test_ber_uncoded_takes_callers_ofdm_config(awgn_model):
-    # 10016 bits are 313 blocks of 32 bits but 156.5 blocks of 64, so a
-    # 32-subcarrier sweep runs whole 64-bit blocks past the budget
-    cfg = fx.OfdmConfig(n_subcarriers=32)
-    curve = mx.ber_sweep(None, "float", "awgn", [7.0], 10_016, 10_016,
-                         seed=3, ofdm_cfg=cfg)
-    assert curve.points[0].bits == 157 * 64
-    assert mx.ber_sweep(None, "float", "awgn", [7.0], 10_016, 10_016,
-                        seed=3).points[0].bits == 313 * 32
-    with pytest.raises(ValueError):
-        mx.ber_sweep(awgn_model, "float", "awgn", [7.0], ofdm_cfg=cfg)
-
-
 def test_ber_min_bits_guard(awgn_model):
     with pytest.raises(ValueError):
         mx.ber_sweep(awgn_model, "float", "awgn", [10.0], min_bits=5000)
