@@ -9,7 +9,7 @@ budget.
 
 from .autoencoder import (AutoencoderModel, SymbolBlock, TrainResult,
                           TrainingDiverged, build_model, calibrate_ranges,
-                          decode, encode, end_to_end, loss, train)
+                          end_to_end, loss, train)
 from .fixedpoint import (BitAllocationError, FixedScalar, FixedTensor,
                          FormatMismatchError, QFormat, dequantize, fx_add,
                          fx_dot, fx_linear, fx_mul, make_qformat, quantize)

@@ -1,12 +1,15 @@
 """Neural encoder/decoder wrapped around the OFDM chain.
 
-The transmit side modulates bits to 4-QAM symbols, feeds their interleaved
-real parts to the encoder network and normalizes the encoded block to unit
-average power per complex sample.  The channel acts per subcarrier
-(y_k = h_k x_k + noise), so the unitary IFFT -> CP -> CP removal -> FFT
-round trip of an OFDM symbol is the identity and is not run.  The receive
-side optionally zero-forces the known gains and runs the decoder network;
-decisions are per-axis signs.
+The chain runs on interleaved reals: N complex symbols are the 2N float64
+values [re0, im0, re1, im1, ...] that both networks read and write, and
+ofdmlink.to_complex/to_reals reinterpret that memory as symbols for the
+channel and ZF, without a copy.  The transmit side modulates bits to 4-QAM
+symbols, feeds their reals to the encoder network and normalizes the
+encoded block to unit average power per complex sample.  The channel acts
+per subcarrier (y_k = h_k x_k + noise), so the unitary IFFT -> CP -> CP
+removal -> FFT round trip of an OFDM symbol is the identity and is not
+run.  The receive side optionally zero-forces the known gains and runs the
+decoder network; decisions are per-axis signs of its output.
 
 Training, inference and the layer-error report all run this one chain
 (_link).  Training runs it in float with fresh channel gains and noise
@@ -109,8 +112,9 @@ def random_block(n_blocks: int, ofdm_cfg: OfdmConfig,
 
 
 def _complex_power(x: np.ndarray) -> float:
-    # interleaved reals: power per complex sample = 2 * mean(element^2)
-    return 2.0 * float(np.mean(x ** 2))
+    # interleaved reals: power per complex sample = 2 * mean(element^2);
+    # np.add.reduce is the pairwise sum np.mean runs, without its wrapper
+    return 2.0 * float(np.add.reduce(x * x, axis=None) / x.size)
 
 
 def normalize_power(x: np.ndarray):
@@ -119,18 +123,6 @@ def normalize_power(x: np.ndarray):
     if s == 0.0:
         raise ValueError("cannot normalize an all-zero batch")
     return x / s, s
-
-
-def encode(model: AutoencoderModel, r: np.ndarray) -> np.ndarray:
-    """Encoder forward + per-batch power normalization."""
-    y, _ = nn.forward_float(model.encoder, r)
-    out, _ = normalize_power(y)
-    return out
-
-
-def decode(model: AutoencoderModel, y: np.ndarray) -> np.ndarray:
-    out, _ = nn.forward_float(model.decoder, y)
-    return out
 
 
 def loss(r: np.ndarray, r_hat: np.ndarray) -> float:
@@ -156,7 +148,7 @@ def _link(model, x0, h, noise, fwd, equalize):
     encoded, scale = normalize_power(enc_out)
     rx_freq = h * ofdm.to_complex(encoded)
     if noise is not None:
-        rx_freq = rx_freq + noise
+        rx_freq += noise
     if equalize:
         dec_in_c, singular = ofdm.equalize_zf(rx_freq, h)
     else:

@@ -8,7 +8,9 @@ Conventions:
   * signal power is unit per complex sample; noise variance per complex
     sample is 10**(-snr_db/10), split evenly between I and Q
   * complex blocks enter the real-valued networks as interleaved
-    re/im pairs (2N reals for N subcarriers)
+    re/im pairs (2N reals for N subcarriers); to_reals and to_complex
+    return views of their input's memory, not copies, so writing to the
+    result writes the input
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_QAM4_LEVELS = np.array([_INV_SQRT2, -_INV_SQRT2])     # indexed by the bit
 ZF_SINGULAR_THRESHOLD = 1e-6
 
 
@@ -102,19 +105,13 @@ def qam4_modulate(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.shape[-1] % 2:
         raise ValueError("bit count must be even for 4-QAM")
-    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    i = (1.0 - 2.0 * pairs[..., 0]) * _INV_SQRT2
-    q = (1.0 - 2.0 * pairs[..., 1]) * _INV_SQRT2
-    return i + 1j * q
+    # integer indices: bool bits would index the level table as a mask
+    return to_complex(_QAM4_LEVELS[bits.astype(np.intp, copy=False)])
 
 
 def qam4_demodulate(symbols: np.ndarray) -> np.ndarray:
     """Per-axis sign decision (minimum distance for 4-QAM)."""
-    symbols = np.asarray(symbols)
-    bits = np.empty(symbols.shape[:-1] + (symbols.shape[-1], 2), dtype=np.int64)
-    bits[..., 0] = symbols.real < 0
-    bits[..., 1] = symbols.imag < 0
-    return bits.reshape(symbols.shape[:-1] + (2 * symbols.shape[-1],))
+    return (to_reals(symbols) < 0).astype(np.int64)
 
 
 def _check_pow2(n: int):
@@ -161,11 +158,15 @@ def draw_noise(shape, variance, rng: np.random.Generator):
     variance may be an array broadcasting against shape, e.g. one value
     per block.
     """
-    if np.all(variance == 0.0):
+    if not np.count_nonzero(variance):
         return None
-    sigma = np.sqrt(variance / 2.0)
-    return sigma * (rng.standard_normal(shape)
-                    + 1j * rng.standard_normal(shape))
+    # one draw of the real normals, then the imaginary ones, as
+    # standard_normal(shape) twice would give them
+    re, im = rng.standard_normal((2,) + tuple(shape))
+    noise = np.empty(re.shape, dtype=np.complex128)
+    noise.real, noise.imag = re, im
+    noise *= np.sqrt(variance / 2.0)
+    return noise
 
 
 def apply_channel(freq_symbols: np.ndarray, realization: ChannelRealization,
@@ -189,24 +190,23 @@ def equalize_zf(y: np.ndarray, h: np.ndarray):
     y = np.asarray(y)
     h = np.asarray(h)
     singular = np.abs(h) < ZF_SINGULAR_THRESHOLD
+    if not singular.any():
+        return y / h, singular
     safe = np.where(singular, 1.0, h)
     x_hat = np.where(singular, 0.0, y / safe)
     return x_hat, singular
 
 
 def to_complex(reals: np.ndarray) -> np.ndarray:
-    """Interleaved [re0, im0, re1, im1, ...] -> complex vector."""
-    reals = np.asarray(reals, dtype=np.float64)
+    """Interleaved [re0, im0, re1, im1, ...] -> complex vector, as a view
+    that aliases reals when reals is a C-contiguous float64 array."""
+    reals = np.ascontiguousarray(reals, dtype=np.float64)
     if reals.shape[-1] % 2:
         raise ValueError("interleaved length must be even")
-    pairs = reals.reshape(reals.shape[:-1] + (-1, 2))
-    return pairs[..., 0] + 1j * pairs[..., 1]
+    return reals.view(np.complex128)
 
 
 def to_reals(z: np.ndarray) -> np.ndarray:
-    """Complex vector -> interleaved re/im reals."""
-    z = np.asarray(z)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
+    """Complex vector -> interleaved re/im reals, as a view that aliases
+    z when z is a C-contiguous complex128 array."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)

@@ -9,6 +9,8 @@ Only what is exact on any IEEE-754 machine with this numpy is frozen:
   saturating inputs;
 * fixed-engine and uncoded ber_sweep bits and errors at 10 and 30 dB, with
   and without ZF, on every channel kind;
+* the decoded bits and rx_symbols of fixed-engine end_to_end run one block
+  at a time on Rayleigh and AWGN at 10 dB, and of one noiseless batch;
 * the bytes of save_model, and of latency.csv for C8's dims.
 
 Float training depends on the BLAS and is left out.  A change that moves a
@@ -32,6 +34,9 @@ BER_FORMATS = [fx.make_qformat(t, 3) for t in (16, 24, 32)]
 SNRS_DB = (10.0, 30.0)
 BER_BITS = 512 * 32                 # one Monte-Carlo chunk per point
 LATENCY_DIMS = [32, 512, 512, 32, 512, 32]
+STREAM_FORMATS = [fx.make_qformat(t, 3) for t in (16, 32)]
+STREAM_BLOCKS = 64
+STREAM_SNR_DB = 10.0
 
 
 def digest(*arrays) -> str:
@@ -91,6 +96,37 @@ def ber_values(model):
                                      seed=7, equalize=eq)
                 out[f"ber.{name}.{channel}.zf{int(eq)}"] = tuple(
                     v for p in curve.points for v in (p.bits, p.errors))
+    return out
+
+
+def stream_values(model):
+    out = {}
+    n_sc = model.ofdm.n_subcarriers
+
+    def draw(channel, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(STREAM_BLOCKS, 2 * n_sc))
+        h = fx.draw_channel(channel, (STREAM_BLOCKS, n_sc), STREAM_SNR_DB,
+                            rng).h
+        return bits, h, rng
+
+    for q in STREAM_FORMATS:
+        qm = fx.quantize_model(model, q)
+        for channel in ("rayleigh", "awgn"):
+            bits, h, rng = draw(channel, 5)
+            decoded, rx = [], []
+            for b, g in zip(bits, h):
+                d, taps = ae.end_to_end(
+                    qm, b, fx.ChannelRealization(g, STREAM_SNR_DB), rng,
+                    engine="fixed")
+                decoded.append(d)
+                rx.append(taps["rx_symbols"])
+            out[f"stream.{q}.{channel}"] = digest(np.stack(decoded),
+                                                  np.stack(rx))
+        bits, h, rng = draw("rayleigh", 6)
+        d, taps = ae.end_to_end(qm, bits, fx.ChannelRealization(h, np.inf),
+                                rng, engine="fixed")
+        out[f"stream.{q}.noiseless_batch"] = digest(d, taps["rx_symbols"])
     return out
 
 
@@ -164,6 +200,12 @@ FROZEN = {
     'ber.Q32.3.rayleigh.zf0': (16384, 8117, 16384, 8112),
     'ber.Q32.3.rayleigh_block.zf1': (16384, 8032, 16384, 8111),
     'ber.Q32.3.rayleigh_block.zf0': (16384, 8193, 16384, 8235),
+    'stream.Q16.3.rayleigh': '5ce80448810c35c1',
+    'stream.Q16.3.awgn': 'cb62d952c5faf6c9',
+    'stream.Q16.3.noiseless_batch': '9243981572823a35',
+    'stream.Q32.3.rayleigh': 'cfd840fb8b6ae75a',
+    'stream.Q32.3.awgn': '8a20d04488e8d5ba',
+    'stream.Q32.3.noiseless_batch': '9dd993b393facef5',
     'he.fxl': '02c052ee78f26e1a',
     'latency.csv': 'b16524797a5897a2',
 }
@@ -191,6 +233,10 @@ def test_ber_counts(model):
     check(ber_values(model))
 
 
+def test_batch1_stream(model):
+    check(stream_values(model))
+
+
 def test_artifact_and_latency_bytes(model, tmp_path):
     check(file_values(model, tmp_path))
 
@@ -202,6 +248,7 @@ if __name__ == "__main__":
     m = he_codec()
     with tempfile.TemporaryDirectory() as d:
         table = {**codec_values(m), **tap_values(m), **ber_values(m),
+                 **stream_values(m),
                  **file_values(m, pathlib.Path(d))}
     for k, v in table.items():
         print(f"    {k!r}: {v!r},")
