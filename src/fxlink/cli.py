@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,119 +46,106 @@ def split_rng(seed: int, stream: int) -> np.random.Generator:
                                                         spawn_key=(stream,)))
 
 
-_CONFIG_SCHEMA = {
-    "ofdm": {"n_subcarriers": int, "cp_len": int, "modulation": str,
-             "sample_rate": float},
-    "model": {"hidden_nodes": int, "layers": int, "rate": float},
-    "train": {"learning_rate": float, "batch_size": int, "epochs": int,
-              "batches_per_epoch": int, "optimizer": str,
-              "snr_min_db": float, "snr_max_db": float, "seed": int},
-    "channel": {"kind": str, "equalize": bool},
-    "quantize": {"bits": int, "int_bits": int},
-    "sweep": {"axis": str, "values": str, "seeds": str, "ref_snr_db": float,
-              "rms_samples": int, "ber_min_bits": int, "ber_max_bits": int},
-    "output": {"dir": str},
-}
-
-_DEFAULTS = {
-    "ofdm": {"n_subcarriers": 16, "cp_len": 4, "modulation": "qam4",
-             "sample_rate": 1e6},
-    "model": {"hidden_nodes": 128, "layers": 5, "rate": 1.0},
-    "train": {"learning_rate": 1e-3, "batch_size": 64, "epochs": 100,
-              "batches_per_epoch": 200, "optimizer": "adam",
-              "snr_min_db": 5.0, "snr_max_db": 25.0, "seed": 0},
-    "channel": {"kind": "rayleigh", "equalize": None},
-    "quantize": {"bits": 16, "int_bits": 3},
-    "sweep": {"axis": "bit_width", "values": "8,16,24", "seeds": "0",
-              "ref_snr_db": 30.0, "rms_samples": 2000,
-              "ber_min_bits": 100_000, "ber_max_bits": 1_000_000},
-    "output": {"dir": "."},
+# INI section -> key -> path of the SweepSpec field it sets (an int step
+# is one end of a range); [ofdm] and [train] keys are their fields' names
+_FIELDS = {
+    "ofdm": {f.name: ("ofdm", f.name) for f in fields(OfdmConfig)},
+    "model": {"hidden_nodes": ("hidden_nodes",), "layers": ("n_layers",),
+              "rate": ("rate",)},
+    "train": {**{f.name: ("train", f.name) for f in fields(TrainConfig)
+                 if f.name != "snr_range_db"},
+              "snr_min_db": ("train", "snr_range_db", 0),
+              "snr_max_db": ("train", "snr_range_db", 1)},
+    "channel": {"kind": ("channel",), "equalize": ("equalize",)},
+    "quantize": {"bits": ("qformat", "total_bits"),
+                 "int_bits": ("qformat", "int_bits")},
+    "sweep": {k: (k,) for k in ("axis", "values", "seeds", "ref_snr_db",
+                                "rms_samples", "ber_min_bits",
+                                "ber_max_bits")},
+    "output": {"dir": None},            # not a SweepSpec field
 }
 
 
-def read_config(path) -> dict:
-    """Parse the INI run config, rejecting unknown sections and keys."""
+def _build(default, given: dict, path: tuple = ()):
+    """`default` rebuilt with the INI values in `given` ({field path:
+    (section, key)}), each parsed as the type of the default it replaces.
+    Each dataclass is made once, so it checks its final values."""
+    if is_dataclass(default):
+        return type(default)(**{
+            f.name: _build(getattr(default, f.name), given, path + (f.name,))
+            for f in fields(default) if f.init})
+    if isinstance(default, tuple):
+        return tuple(_build(v, given, path + (i,))
+                     for i, v in enumerate(default))
+    if path not in given:
+        return default
+    section, key = given[path]
+    try:
+        if isinstance(default, bool):
+            return section.getboolean(key)
+        if isinstance(default, list):
+            return _parse_list(section[key], int)
+        return type(default)(section[key])
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad value for '{key}' in [{section.name}]: {exc}") from exc
+
+
+def read_config(path) -> tuple[mx.SweepSpec, str]:
+    """Resolve the INI run config into the SweepSpec that `train` and
+    `sweep` run from, plus the [output] dir.  A missing key keeps the
+    library's default, except for the CLI's own defaults below."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    given = {}
     for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
+        if section not in _FIELDS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            if key not in _CONFIG_SCHEMA[section]:
+        for key in parser[section]:
+            if key not in _FIELDS[section]:
                 raise ConfigError(
                     f"unknown config key '{key}' in section [{section}]")
-            kind = _CONFIG_SCHEMA[section][key]
-            try:
-                if kind is bool:
-                    cfg[section][key] = parser[section].getboolean(key)
-                else:
-                    cfg[section][key] = kind(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for '{key}' in [{section}]: {exc}") from exc
-    return cfg
+            given[_FIELDS[section][key]] = (parser[section], key)
+    defaults = mx.SweepSpec(
+        axis="bit_width", values=[8, 16, 24], seeds=[0],
+        train=TrainConfig(epochs=100, batches_per_epoch=200))
+    # zero-forcing defaults to on for Rayleigh fading only
+    defaults.equalize = parser.get("channel", "kind",
+                                   fallback=defaults.channel) == "rayleigh"
+    try:
+        spec = _build(defaults, given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return spec, parser.get("output", "dir", fallback=".")
 
 
-def _outdir(args, cfg=None) -> Path:
+def _outdir(args, config_dir: str = ".") -> Path:
     env = os.environ.get("FXLINK_OUT")
     if env:
         path = Path(env)
     elif getattr(args, "out", None):
         path = Path(args.out)
-    elif cfg is not None:
-        path = Path(cfg["output"]["dir"])
     else:
-        path = Path(".")
+        path = Path(config_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _train_config(cfg: dict, seed_override=None) -> TrainConfig:
-    t = cfg["train"]
-    seed = t["seed"] if seed_override is None else seed_override
-    return TrainConfig(
-        learning_rate=t["learning_rate"], batch_size=t["batch_size"],
-        epochs=t["epochs"], batches_per_epoch=t["batches_per_epoch"],
-        optimizer=t["optimizer"], seed=seed,
-        snr_range_db=(t["snr_min_db"], t["snr_max_db"]))
-
-
-def _ofdm_config(cfg: dict) -> OfdmConfig:
-    o = cfg["ofdm"]
-    return OfdmConfig(o["n_subcarriers"], o["cp_len"], o["modulation"],
-                      o["sample_rate"])
-
-
-def _equalize(cfg: dict) -> bool:
-    eq = cfg["channel"]["equalize"]
-    if eq is None:
-        eq = cfg["channel"]["kind"] == "rayleigh"
-    return eq
-
-
 def cmd_train(args) -> int:
-    cfg = read_config(args.config)
-    out = _outdir(args, cfg)
-    tc = _train_config(cfg, args.seed)
-    ofdm_cfg = _ofdm_config(cfg)
-    kind = cfg["channel"]["kind"]
-    if kind not in CHANNEL_KINDS:
-        raise ConfigError(f"unknown channel kind {kind!r}")
-    model = ae.build_model(ofdm_cfg, cfg["model"]["hidden_nodes"],
-                           cfg["model"]["layers"], cfg["model"]["rate"],
-                           seed=tc.seed)
-    result = ae.train(model, tc, kind, _equalize(cfg),
+    spec, config_dir = read_config(args.config)
+    out = _outdir(args, config_dir)
+    tc = (spec.train if args.seed is None
+          else replace(spec.train, seed=args.seed))
+    try:
+        model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
+                               spec.rate, seed=tc.seed)
+    except ValueError as exc:               # rate and layers
+        raise ConfigError(str(exc)) from exc
+    result = ae.train(model, tc, spec.channel, spec.equalize,
                       rng=split_rng(tc.seed, _STREAM_TRAIN))
-    meta = {"channel": kind, "equalize": _equalize(cfg),
-            "seed": tc.seed, "epochs": tc.epochs,
-            "learning_rate": tc.learning_rate,
-            "batch_size": tc.batch_size,
-            "batches_per_epoch": tc.batches_per_epoch,
-            "snr_range_db": list(tc.snr_range_db),
-            "optimizer": tc.optimizer,
-            "final_loss": result.loss_history[-1]}
+    meta = {"channel": spec.channel, "equalize": spec.equalize,
+            **asdict(tc), "final_loss": result.loss_history[-1]}
     artifact_path = out / "model.fxl"
     save_model(result.model, artifact_path, training=meta)
     with open(out / "loss.csv", "w", newline="") as fh:
@@ -192,7 +180,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    snr_list = _parse_floats(args.snr)
+    snr_list = _parse_list(args.snr)
     if not snr_list:
         raise ConfigError("--snr needs at least one value")
     if args.channel not in CHANNEL_KINDS:
@@ -236,33 +224,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = read_config(args.config)
-    out = _outdir(args, cfg)
-    s = cfg["sweep"]
-    seed = cfg["train"]["seed"] if args.seed is None else args.seed
-    values = [int(v) for v in _parse_floats(s["values"])]
-    seeds = [int(v) for v in _parse_floats(s["seeds"])]
-    if args.seed is not None:
-        seeds = [seed + i for i in range(len(seeds))]
-    spec = mx.SweepSpec(
-        axis=s["axis"], values=values, seeds=seeds,
-        ofdm=_ofdm_config(cfg),
-        hidden_nodes=cfg["model"]["hidden_nodes"],
-        n_layers=cfg["model"]["layers"], rate=cfg["model"]["rate"],
-        train=_train_config(cfg), channel=cfg["channel"]["kind"],
-        equalize=_equalize(cfg),
-        qformat=make_qformat(cfg["quantize"]["bits"],
-                             cfg["quantize"]["int_bits"]),
-        ref_snr_db=s["ref_snr_db"], rms_samples=s["rms_samples"],
-        ber_min_bits=s["ber_min_bits"], ber_max_bits=s["ber_max_bits"],
-        out_path=str(out / "sweep.csv"))
+    spec, config_dir = read_config(args.config)
+    out = _outdir(args, config_dir)
+    seed = spec.train.seed if args.seed is None else args.seed
+    seeds = (spec.seeds if args.seed is None
+             else [seed + i for i in range(len(spec.seeds))])
+    spec = replace(spec, seeds=seeds, out_path=str(out / "sweep.csv"))
     rows = mx.run_sweep(spec, split_rng(seed, _STREAM_SWEEP))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
 
 def cmd_latency(args) -> int:
-    dims = [int(v) for v in _parse_floats(args.dims)]
+    dims = [int(v) for v in _parse_list(args.dims)]
     ofdm_cfg = OfdmConfig(args.n_subcarriers, args.cp_len,
                           sample_rate=args.sample_rate_mhz * 1e6)
     est = mx.estimate_latency(dims, args.parallel_macs, args.pipeline_depth,
@@ -315,8 +289,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).replace(";", ",").split(",")
+def _parse_list(text: str, kind=float) -> list:
+    return [kind(tok) for tok in str(text).replace(";", ",").split(",")
             if tok.strip()]
 
 

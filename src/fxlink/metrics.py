@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -305,6 +305,8 @@ class SweepSpec:
             raise ValueError("values must be non-empty")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.channel not in ofdm.CHANNEL_KINDS:
+            raise ValueError(f"unknown channel kind {self.channel!r}")
 
 
 @dataclass
@@ -323,9 +325,8 @@ def _train_for_sweep(spec: SweepSpec, hidden: int, layers: int, seed: int,
     if key not in cache:
         model = ae.build_model(spec.ofdm, hidden, layers, spec.rate,
                                seed=seed)
-        cfg = TrainConfig(**{**spec.train.__dict__, "seed": seed})
-        cache[key] = ae.train(model, cfg, spec.channel,
-                              spec.equalize).model
+        cache[key] = ae.train(model, replace(spec.train, seed=seed),
+                              spec.channel, spec.equalize).model
     return cache[key]
 
 

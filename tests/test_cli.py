@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fxlink.cli import main
+from fxlink.cli import main, read_config
 
 TINY_CONFIG = """\
 [model]
@@ -93,6 +93,42 @@ def test_unknown_section_exits_1(tmp_path, capsys):
     cfg.write_text("[trainer]\nepochs = 2\n")
     assert main(["train", "--config", str(cfg)]) == 1
     assert "trainer" in capsys.readouterr().err
+
+
+BAD_VALUES = {
+    "optimizer": ("train", "[train]\noptimizer = adagrad"),
+    "learning_rate": ("train", "[train]\nlearning_rate = 0"),
+    "snr_range": ("train", "[train]\nsnr_min_db = 30\nsnr_max_db = 10"),
+    "n_subcarriers": ("train", "[ofdm]\nn_subcarriers = 12"),
+    "modulation": ("train", "[ofdm]\nmodulation = qam16"),
+    "train_kind": ("train", "[channel]\nkind = rician"),
+    "equalize": ("train", "[channel]\nequalize = maybe"),
+    "rate": ("train", "[model]\nrate = 2"),
+    "layers": ("train", "[model]\nlayers = 1"),
+    "axis": ("sweep", "[sweep]\naxis = depth"),
+    "values": ("sweep", "[sweep]\nvalues = 8,x"),
+    "values_not_int": ("sweep", "[sweep]\nvalues = 8.5"),
+    "seeds_empty": ("sweep", "[sweep]\nseeds ="),
+    "sweep_kind": ("sweep", "[channel]\nkind = rician"),
+    "bits": ("sweep", "[quantize]\nbits = 40"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_config_value_exits_1(tmp_path, capsys, case):
+    command, text = BAD_VALUES[case]
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "fxlink: config error:" in capsys.readouterr().err
+
+
+def test_sweep_values_and_seeds_stay_exact_integers(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sweep]\nvalues = 8,16\nseeds = 0,{2 ** 60 + 1}\n")
+    spec, _ = read_config(cfg)
+    assert spec.values == [8, 16]
+    assert spec.seeds == [0, 2 ** 60 + 1]
 
 
 def test_quantize_descriptor(trained_artifact, capsys):

@@ -11,22 +11,34 @@ Only what is exact on any IEEE-754 machine with this numpy is frozen:
   and without ZF, on every channel kind;
 * the decoded bits and rx_symbols of fixed-engine end_to_end run one block
   at a time on Rayleigh and AWGN at 10 dB, and of one noiseless batch;
-* the bytes of save_model, and of latency.csv for C8's dims.
+* the bytes of save_model, and of latency.csv for C8's dims;
+* every setting `fxlink train` and `fxlink sweep` resolve from the
+  checked-in configs and from an empty INI file.
 
-Float training depends on the BLAS and is left out.  A change that moves a
-value on purpose updates it here, and `python tests/test_frozen_numbers.py`
-prints the current table to paste in.
+Float training depends on the BLAS, so only the CLI's tiny runs are
+frozen with it: the loss.csv, payload and `training` header of `fxlink
+train` and the sweep.csv of `fxlink sweep`, with and without --seed.
+These hold for one BLAS and thread count; the rest holds on any machine.
+A change that moves a value on purpose updates it here, and `python
+tests/test_frozen_numbers.py` prints the current table to paste in.
 """
 
 import hashlib
+import inspect
+import os
+from dataclasses import asdict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fxlink as fx
 from fxlink import autoencoder as ae
+from fxlink import cli
 from fxlink import metrics as mx
 from fxlink import neuralnet as nn
+from test_cli import SWEEP_CONFIG, TINY_CONFIG
 
 FORMATS = [fx.make_qformat(t, i) for t, i in
            ((8, 0), (8, 3), (16, 3), (24, 3), (32, 3), (32, 29))]
@@ -37,6 +49,7 @@ LATENCY_DIMS = [32, 512, 512, 32, 512, 32]
 STREAM_FORMATS = [fx.make_qformat(t, 3) for t in (16, 32)]
 STREAM_BLOCKS = 64
 STREAM_SNR_DB = 10.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def digest(*arrays) -> str:
@@ -138,6 +151,94 @@ def file_values(model, tmp_path):
             .hexdigest()[:16] for name in ("he.fxl", "latency.csv")}
 
 
+class Resolved(Exception):
+    """Raised in place of the work a CLI command hands its settings to."""
+
+
+def bound(fn, call) -> dict:
+    args = inspect.signature(fn).bind(*call.args, **call.kwargs)
+    args.apply_defaults()
+    return args.arguments
+
+
+def flat(prefix, tree) -> dict:
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(flat(f"{prefix}.{key}", value))
+        else:
+            out[f"{prefix}.{key}"] = value
+    return out
+
+
+def first_draw(rng) -> int:
+    return int(rng.integers(2 ** 63))
+
+
+def config_values(tmp_path):
+    """What `train` passes to build_model and train, and what `sweep`
+    passes to run_sweep, for each checked-in config and an empty one."""
+    (tmp_path / "empty.ini").write_text("")
+    inis = sorted(CONFIGS.glob("*.ini")) + [tmp_path / "empty.ini"]
+    out = {}
+    cwd = os.getcwd()
+    os.chdir(tmp_path)                  # relative [output] dirs land here
+    try:
+        for ini in inis:
+            with mock.patch.object(ae, "build_model",
+                                   wraps=ae.build_model) as build, \
+                    mock.patch.object(ae, "train",
+                                      side_effect=Resolved) as train, \
+                    mock.patch.object(mx, "run_sweep",
+                                      side_effect=Resolved) as sweep:
+                for command in ("train", "sweep"):
+                    with pytest.raises(Resolved):
+                        cli.main([command, "--config", str(ini)])
+            b = bound(ae.build_model, build.call_args)
+            t = bound(ae.train, train.call_args)
+            s = bound(mx.run_sweep, sweep.call_args)
+            out.update(flat(f"config.{ini.stem}", {
+                "train": {"ofdm": asdict(b["ofdm_cfg"]),
+                          "hidden_nodes": b["hidden_nodes"],
+                          "total_layers": b["total_layers"],
+                          "rate": b["rate"], "model_seed": b["seed"],
+                          "cfg": asdict(t["cfg"]), "channel": t["channel"],
+                          "equalize": t["equalize"],
+                          "rng": first_draw(t["rng"])},
+                "sweep": {**asdict(s["spec"]), "rng": first_draw(s["rng"])},
+            }))
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def cli_run_values(tmp_path):
+    """Outputs of `fxlink train` and `fxlink sweep` on test_cli's tiny
+    configs, with the config's seed and with --seed."""
+    out = {}
+    for command, text, seed in (("train", TINY_CONFIG, 5),
+                                ("sweep", SWEEP_CONFIG, 4)):
+        for argv in ([], ["--seed", str(seed)]):
+            tag = f"cli.{command}.{'seed' + str(seed) if argv else 'cfg'}"
+            run_dir = tmp_path / tag
+            run_dir.mkdir()
+            ini = run_dir / "run.ini"
+            ini.write_text(text.format(out=run_dir))
+            assert cli.main([command, "--config", str(ini)] + argv) == 0
+            if command == "sweep":
+                out[f"{tag}.sweep.csv"] = sha(run_dir / "sweep.csv")
+                continue
+            header = fx.load_artifact(run_dir / "model.fxl").header
+            out[f"{tag}.loss.csv"] = sha(run_dir / "loss.csv")
+            out[f"{tag}.payload_sha256"] = header["payload_sha256"][:16]
+            out.update(flat(f"{tag}.training", header["training"]))
+    return out
+
+
 FROZEN = {
     'he.params': 'fae61bc77e74836e',
     'raws.Q8.0': '2d7ef8828afd00ba',
@@ -208,6 +309,170 @@ FROZEN = {
     'stream.Q32.3.noiseless_batch': '9dd993b393facef5',
     'he.fxl': '02c052ee78f26e1a',
     'latency.csv': 'b16524797a5897a2',
+    'config.reference.train.ofdm.n_subcarriers': 16,
+    'config.reference.train.ofdm.cp_len': 4,
+    'config.reference.train.ofdm.modulation': 'qam4',
+    'config.reference.train.ofdm.sample_rate': 1000000.0,
+    'config.reference.train.hidden_nodes': 128,
+    'config.reference.train.total_layers': 5,
+    'config.reference.train.rate': 1.0,
+    'config.reference.train.model_seed': 0,
+    'config.reference.train.cfg.learning_rate': 0.001,
+    'config.reference.train.cfg.batch_size': 64,
+    'config.reference.train.cfg.epochs': 100,
+    'config.reference.train.cfg.batches_per_epoch': 200,
+    'config.reference.train.cfg.optimizer': 'adam',
+    'config.reference.train.cfg.seed': 0,
+    'config.reference.train.cfg.snr_range_db': (5.0, 25.0),
+    'config.reference.train.channel': 'rayleigh',
+    'config.reference.train.equalize': True,
+    'config.reference.train.rng': 8697063857760222071,
+    'config.reference.sweep.axis': 'bit_width',
+    'config.reference.sweep.values': [8, 16, 24],
+    'config.reference.sweep.seeds': [0],
+    'config.reference.sweep.ofdm.n_subcarriers': 16,
+    'config.reference.sweep.ofdm.cp_len': 4,
+    'config.reference.sweep.ofdm.modulation': 'qam4',
+    'config.reference.sweep.ofdm.sample_rate': 1000000.0,
+    'config.reference.sweep.hidden_nodes': 128,
+    'config.reference.sweep.n_layers': 5,
+    'config.reference.sweep.rate': 1.0,
+    'config.reference.sweep.train.learning_rate': 0.001,
+    'config.reference.sweep.train.batch_size': 64,
+    'config.reference.sweep.train.epochs': 100,
+    'config.reference.sweep.train.batches_per_epoch': 200,
+    'config.reference.sweep.train.optimizer': 'adam',
+    'config.reference.sweep.train.seed': 0,
+    'config.reference.sweep.train.snr_range_db': (5.0, 25.0),
+    'config.reference.sweep.channel': 'rayleigh',
+    'config.reference.sweep.equalize': True,
+    'config.reference.sweep.qformat.total_bits': 16,
+    'config.reference.sweep.qformat.int_bits': 3,
+    'config.reference.sweep.qformat.frac_bits': 12,
+    'config.reference.sweep.ref_snr_db': 30.0,
+    'config.reference.sweep.rms_samples': 2000,
+    'config.reference.sweep.ber_min_bits': 100000,
+    'config.reference.sweep.ber_max_bits': 1000000,
+    'config.reference.sweep.out_path': 'out/sweep.csv',
+    'config.reference.sweep.rng': 7731686665370224177,
+    'config.sweep_bitwidth.train.ofdm.n_subcarriers': 16,
+    'config.sweep_bitwidth.train.ofdm.cp_len': 4,
+    'config.sweep_bitwidth.train.ofdm.modulation': 'qam4',
+    'config.sweep_bitwidth.train.ofdm.sample_rate': 1000000.0,
+    'config.sweep_bitwidth.train.hidden_nodes': 128,
+    'config.sweep_bitwidth.train.total_layers': 5,
+    'config.sweep_bitwidth.train.rate': 1.0,
+    'config.sweep_bitwidth.train.model_seed': 0,
+    'config.sweep_bitwidth.train.cfg.learning_rate': 0.001,
+    'config.sweep_bitwidth.train.cfg.batch_size': 64,
+    'config.sweep_bitwidth.train.cfg.epochs': 60,
+    'config.sweep_bitwidth.train.cfg.batches_per_epoch': 200,
+    'config.sweep_bitwidth.train.cfg.optimizer': 'adam',
+    'config.sweep_bitwidth.train.cfg.seed': 0,
+    'config.sweep_bitwidth.train.cfg.snr_range_db': (5.0, 25.0),
+    'config.sweep_bitwidth.train.channel': 'rayleigh',
+    'config.sweep_bitwidth.train.equalize': True,
+    'config.sweep_bitwidth.train.rng': 8697063857760222071,
+    'config.sweep_bitwidth.sweep.axis': 'bit_width',
+    'config.sweep_bitwidth.sweep.values': [8, 16, 24],
+    'config.sweep_bitwidth.sweep.seeds': [0, 1, 2],
+    'config.sweep_bitwidth.sweep.ofdm.n_subcarriers': 16,
+    'config.sweep_bitwidth.sweep.ofdm.cp_len': 4,
+    'config.sweep_bitwidth.sweep.ofdm.modulation': 'qam4',
+    'config.sweep_bitwidth.sweep.ofdm.sample_rate': 1000000.0,
+    'config.sweep_bitwidth.sweep.hidden_nodes': 128,
+    'config.sweep_bitwidth.sweep.n_layers': 5,
+    'config.sweep_bitwidth.sweep.rate': 1.0,
+    'config.sweep_bitwidth.sweep.train.learning_rate': 0.001,
+    'config.sweep_bitwidth.sweep.train.batch_size': 64,
+    'config.sweep_bitwidth.sweep.train.epochs': 60,
+    'config.sweep_bitwidth.sweep.train.batches_per_epoch': 200,
+    'config.sweep_bitwidth.sweep.train.optimizer': 'adam',
+    'config.sweep_bitwidth.sweep.train.seed': 0,
+    'config.sweep_bitwidth.sweep.train.snr_range_db': (5.0, 25.0),
+    'config.sweep_bitwidth.sweep.channel': 'rayleigh',
+    'config.sweep_bitwidth.sweep.equalize': True,
+    'config.sweep_bitwidth.sweep.qformat.total_bits': 16,
+    'config.sweep_bitwidth.sweep.qformat.int_bits': 3,
+    'config.sweep_bitwidth.sweep.qformat.frac_bits': 12,
+    'config.sweep_bitwidth.sweep.ref_snr_db': 30.0,
+    'config.sweep_bitwidth.sweep.rms_samples': 2000,
+    'config.sweep_bitwidth.sweep.ber_min_bits': 100000,
+    'config.sweep_bitwidth.sweep.ber_max_bits': 400000,
+    'config.sweep_bitwidth.sweep.out_path': 'out/sweep_bitwidth/sweep.csv',
+    'config.sweep_bitwidth.sweep.rng': 7731686665370224177,
+    'config.empty.train.ofdm.n_subcarriers': 16,
+    'config.empty.train.ofdm.cp_len': 4,
+    'config.empty.train.ofdm.modulation': 'qam4',
+    'config.empty.train.ofdm.sample_rate': 1000000.0,
+    'config.empty.train.hidden_nodes': 128,
+    'config.empty.train.total_layers': 5,
+    'config.empty.train.rate': 1.0,
+    'config.empty.train.model_seed': 0,
+    'config.empty.train.cfg.learning_rate': 0.001,
+    'config.empty.train.cfg.batch_size': 64,
+    'config.empty.train.cfg.epochs': 100,
+    'config.empty.train.cfg.batches_per_epoch': 200,
+    'config.empty.train.cfg.optimizer': 'adam',
+    'config.empty.train.cfg.seed': 0,
+    'config.empty.train.cfg.snr_range_db': (5.0, 25.0),
+    'config.empty.train.channel': 'rayleigh',
+    'config.empty.train.equalize': True,
+    'config.empty.train.rng': 8697063857760222071,
+    'config.empty.sweep.axis': 'bit_width',
+    'config.empty.sweep.values': [8, 16, 24],
+    'config.empty.sweep.seeds': [0],
+    'config.empty.sweep.ofdm.n_subcarriers': 16,
+    'config.empty.sweep.ofdm.cp_len': 4,
+    'config.empty.sweep.ofdm.modulation': 'qam4',
+    'config.empty.sweep.ofdm.sample_rate': 1000000.0,
+    'config.empty.sweep.hidden_nodes': 128,
+    'config.empty.sweep.n_layers': 5,
+    'config.empty.sweep.rate': 1.0,
+    'config.empty.sweep.train.learning_rate': 0.001,
+    'config.empty.sweep.train.batch_size': 64,
+    'config.empty.sweep.train.epochs': 100,
+    'config.empty.sweep.train.batches_per_epoch': 200,
+    'config.empty.sweep.train.optimizer': 'adam',
+    'config.empty.sweep.train.seed': 0,
+    'config.empty.sweep.train.snr_range_db': (5.0, 25.0),
+    'config.empty.sweep.channel': 'rayleigh',
+    'config.empty.sweep.equalize': True,
+    'config.empty.sweep.qformat.total_bits': 16,
+    'config.empty.sweep.qformat.int_bits': 3,
+    'config.empty.sweep.qformat.frac_bits': 12,
+    'config.empty.sweep.ref_snr_db': 30.0,
+    'config.empty.sweep.rms_samples': 2000,
+    'config.empty.sweep.ber_min_bits': 100000,
+    'config.empty.sweep.ber_max_bits': 1000000,
+    'config.empty.sweep.out_path': 'sweep.csv',
+    'config.empty.sweep.rng': 7731686665370224177,
+    'cli.train.cfg.loss.csv': '17fcb4a2e9f1b6ec',
+    'cli.train.cfg.payload_sha256': '06b73697eee1e395',
+    'cli.train.cfg.training.channel': 'awgn',
+    'cli.train.cfg.training.equalize': False,
+    'cli.train.cfg.training.seed': 3,
+    'cli.train.cfg.training.epochs': 2,
+    'cli.train.cfg.training.learning_rate': 0.001,
+    'cli.train.cfg.training.batch_size': 64,
+    'cli.train.cfg.training.batches_per_epoch': 10,
+    'cli.train.cfg.training.snr_range_db': [5.0, 25.0],
+    'cli.train.cfg.training.optimizer': 'adam',
+    'cli.train.cfg.training.final_loss': 1.297019157496838,
+    'cli.train.seed5.loss.csv': 'fcff19355c7e9b54',
+    'cli.train.seed5.payload_sha256': '6e3dab5f10b550dc',
+    'cli.train.seed5.training.channel': 'awgn',
+    'cli.train.seed5.training.equalize': False,
+    'cli.train.seed5.training.seed': 5,
+    'cli.train.seed5.training.epochs': 2,
+    'cli.train.seed5.training.learning_rate': 0.001,
+    'cli.train.seed5.training.batch_size': 64,
+    'cli.train.seed5.training.batches_per_epoch': 10,
+    'cli.train.seed5.training.snr_range_db': [5.0, 25.0],
+    'cli.train.seed5.training.optimizer': 'adam',
+    'cli.train.seed5.training.final_loss': 1.2286026080630243,
+    'cli.sweep.cfg.sweep.csv': '591f0d769e292e56',
+    'cli.sweep.seed4.sweep.csv': '07ba1b9c0dc5ceed',
 }
 
 
@@ -216,9 +481,12 @@ def model():
     return he_codec()
 
 
-def check(values):
+def check(values, typed=False):
     want = {k: FROZEN[k] for k in values}
     assert values == want
+    if typed:                           # 1 == 1.0 == True above
+        assert ({k: type(v) for k, v in values.items()}
+                == {k: type(v) for k, v in want.items()})
 
 
 def test_he_codec_and_quantized_raws(model):
@@ -241,14 +509,28 @@ def test_artifact_and_latency_bytes(model, tmp_path):
     check(file_values(model, tmp_path))
 
 
+def test_cli_resolved_config(tmp_path):
+    check(config_values(tmp_path), typed=True)
+
+
+def test_cli_train_and_sweep_outputs(tmp_path):
+    check(cli_run_values(tmp_path), typed=True)
+
+
 if __name__ == "__main__":
-    import pathlib
+    import contextlib
+    import sys
     import tempfile
 
     m = he_codec()
-    with tempfile.TemporaryDirectory() as d:
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stdout(sys.stderr):   # the CLI's messages
+        d = Path(d)
+        for sub in ("files", "configs", "runs"):
+            (d / sub).mkdir()
         table = {**codec_values(m), **tap_values(m), **ber_values(m),
-                 **stream_values(m),
-                 **file_values(m, pathlib.Path(d))}
+                 **stream_values(m), **file_values(m, d / "files"),
+                 **config_values(d / "configs"),
+                 **cli_run_values(d / "runs")}
     for k, v in table.items():
         print(f"    {k!r}: {v!r},")

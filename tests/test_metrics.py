@@ -230,6 +230,9 @@ def test_sweep_rejects_bad_spec(ofdm16):
         mx.SweepSpec(axis="bit_width", values=[], seeds=[0])
     with pytest.raises(ValueError):
         mx.SweepSpec(axis="bit_width", values=[8], seeds=[])
+    with pytest.raises(ValueError, match="channel kind"):
+        mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
+                     channel="rician")
 
 
 # ---------------------------------------------------------------------------
