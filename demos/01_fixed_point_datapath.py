@@ -19,23 +19,24 @@ for bits in (8, 16, 24):
     print(f"{q}: step {q.step:.3g}, range [{q.min_value}, {q.max_value}]")
 
 q16 = fx.make_qformat(16, 3)
-print("\nquantize(0.1)     ->", fx.quantize(0.1, q16))
-print("quantize(10.0)    ->", fx.quantize(10.0, q16), "(saturated)")
-print("quantize(-10.0)   ->", fx.quantize(-10.0, q16), "(saturated)")
+print()
+for x, note in ((0.1, ""), (10.0, " (saturated)"), (-10.0, " (saturated)")):
+    f = fx.quantize(x, q16)
+    print(f"quantize({x}) -> {f.values} = {f.raw}/{q16.scale}{note}")
 
 print("\n" + "=" * 64)
 print("Multiply and accumulate")
 print("=" * 64)
 
 a = fx.quantize(0.1, q16)
-print(f"{a.value} * {a.value} -> {fx.fx_mul(a, a).value} "
-      f"(exact: {a.value * a.value})")
+print(f"{a.values} * {a.values} -> {fx.fx_mul(a, a).values} "
+      f"(exact: {a.values * a.values})")
 
 # sum of eight 1.0*1.0 products is exactly 8.0 in the wide accumulator;
 # only the final requantization saturates to the format maximum
 ones = fx.quantize(np.ones(8), q16)
 out = fx.fx_dot(ones, ones, fx.quantize(0.0, q16), q16)
-print(f"dot([1]*8, [1]*8) -> {out.value} (accumulator held 8.0, "
+print(f"dot([1]*8, [1]*8) -> {out.values} (accumulator held 8.0, "
       "requantize saturated)")
 
 rng = np.random.default_rng(0)
@@ -43,9 +44,9 @@ x = fx.quantize(rng.uniform(-0.5, 0.5, 64), q16)
 w = fx.quantize(rng.uniform(-0.5, 0.5, 64), q16)
 b = fx.quantize(0.25, q16)
 got = fx.fx_dot(x, w, b, q16)
-ref = float(x.values @ w.values + b.value)
-print(f"random length-64 MAC: fixed {got.value:+.8f} vs float {ref:+.8f} "
-      f"(|diff| = {abs(got.value - ref):.2e}, one rounding of {q16.step:.2e})")
+ref = float(x.values @ w.values + b.values)
+print(f"random length-64 MAC: fixed {got.values:+.8f} vs float {ref:+.8f} "
+      f"(|diff| = {abs(got.values - ref):.2e}, one rounding of {q16.step:.2e})")
 
 print("\n" + "=" * 64)
 print("Quantization noise vs step size (uniform inputs on [-1, 1])")

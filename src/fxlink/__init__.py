@@ -10,16 +10,16 @@ budget.
 from .autoencoder import (AutoencoderModel, SymbolBlock, TrainResult,
                           TrainingDiverged, build_model, calibrate_ranges,
                           end_to_end, loss, train)
-from .fixedpoint import (BitAllocationError, FixedScalar, FixedTensor,
-                         FormatMismatchError, QFormat, dequantize, fx_add,
-                         fx_dot, fx_linear, fx_mul, make_qformat, quantize)
+from .fixedpoint import (BitAllocationError, FixedTensor, FormatMismatchError,
+                         QFormat, dequantize, fx_add, fx_dot, fx_linear,
+                         fx_mul, make_qformat, quantize)
 from .metrics import (BerCurve, LatencyEstimate, LayerErrorReport, SweepRow,
                       SweepSpec, ber_sweep, estimate_latency, evm,
                       layer_error_report, qpsk_awgn_ber_theory, relative_rms,
                       run_sweep)
 from .neuralnet import (AdamState, DenseLayer, FCNet, QuantizedNet,
-                        TrainConfig, backward, forward_fixed, forward_float,
-                        init_he, optimizer_step, quantize_net)
+                        TrainConfig, forward_fixed, forward_float, init_he,
+                        optimizer_step, quantize_net)
 from .ofdmlink import (CHANNEL_KINDS, ChannelRealization, OfdmConfig, add_cp,
                        apply_channel, draw_channel, equalize_zf, fft, ifft,
                        qam4_demodulate, qam4_modulate, remove_cp, to_complex,

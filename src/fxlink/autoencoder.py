@@ -94,6 +94,8 @@ def build_model(ofdm_cfg: OfdmConfig, hidden_nodes: int = 128,
     """
     if total_layers < 2:
         raise ValueError("need at least one layer per side")
+    if hidden_nodes < 1:
+        raise ValueError("need at least one hidden node")
     n_enc = (total_layers + 1) // 2
     n_dec = total_layers - n_enc
     d_in = 2 * ofdm_cfg.n_subcarriers

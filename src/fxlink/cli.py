@@ -140,7 +140,7 @@ def cmd_train(args) -> int:
     try:
         model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
                                spec.rate, seed=tc.seed)
-    except ValueError as exc:               # rate and layers
+    except ValueError as exc:               # rate
         raise ConfigError(str(exc)) from exc
     result = ae.train(model, tc, spec.channel, spec.equalize,
                       rng=split_rng(tc.seed, _STREAM_TRAIN))
@@ -236,7 +236,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    dims = [int(v) for v in _parse_list(args.dims)]
+    dims = _parse_list(args.dims, int)
     ofdm_cfg = OfdmConfig(args.n_subcarriers, args.cp_len,
                           sample_rate=args.sample_rate_mhz * 1e6)
     est = mx.estimate_latency(dims, args.parallel_macs, args.pipeline_depth,
@@ -290,8 +290,11 @@ def cmd_report(args) -> int:
 
 
 def _parse_list(text: str, kind=float) -> list:
-    return [kind(tok) for tok in str(text).replace(";", ",").split(",")
-            if tok.strip()]
+    try:
+        return [kind(tok) for tok in str(text).replace(";", ",").split(",")
+                if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad list {text!r}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):

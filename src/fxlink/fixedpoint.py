@@ -97,21 +97,8 @@ def make_qformat(total_bits: int, int_bits: int = 3) -> QFormat:
 
 
 @dataclass(frozen=True)
-class FixedScalar:
-    raw: int
-    fmt: QFormat
-
-    @property
-    def value(self) -> float:
-        return self.raw * self.fmt.step
-
-    def __repr__(self) -> str:
-        return f"FixedScalar({self.value} = {self.raw}/{self.fmt.scale}, {self.fmt})"
-
-
-@dataclass(frozen=True)
 class FixedTensor:
-    """Array of raw integers sharing one Q-format."""
+    """Array of raw integers sharing one Q-format; a scalar is 0-d."""
 
     raw: np.ndarray
     fmt: QFormat
@@ -129,7 +116,7 @@ def quantize(x, q: QFormat):
     """Quantize a real scalar or array onto the format's grid.
 
     Rounds half to even, saturates to the representable range.  Returns a
-    FixedScalar for scalar input, a FixedTensor otherwise.
+    FixedTensor of x's shape: 0-d for a scalar.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
@@ -137,17 +124,15 @@ def quantize(x, q: QFormat):
     # Scaling by a power of two is exact in float64, so np.rint applies the
     # half-even rule to the mathematically exact scaled value.
     raw = np.rint(arr * q.scale)
-    if arr.ndim == 0:
-        return FixedScalar(_saturate(raw, q), q)
+    if arr.ndim == 0:                   # a ufunc returns a 0-d input bare
+        raw = np.array(raw)
     # ndarray.clip skips np.clip's Python wrapper
     return FixedTensor(raw.clip(q.raw_min, q.raw_max, out=raw)
                        .astype(np.int64), q)
 
 
-def dequantize(f):
-    """Exact real value of a FixedScalar (float) or FixedTensor (ndarray)."""
-    if isinstance(f, FixedScalar):
-        return f.value
+def dequantize(f: FixedTensor):
+    """Exact real value of f: its .values."""
     return f.values
 
 
@@ -163,10 +148,6 @@ def _check_fmt(a, b):
         raise FormatMismatchError(f"{a.fmt} vs {b.fmt}")
 
 
-def _saturate(raw: int, q: QFormat) -> int:
-    return min(max(int(raw), q.raw_min), q.raw_max)
-
-
 def _round_half_even(hi, lo, k: int):
     """hi + lo / 2**k rounded half to even, for 0 <= lo < 2**k and k >= 1.
 
@@ -177,34 +158,42 @@ def _round_half_even(hi, lo, k: int):
     return hi + ((lo + ((hi & 1) + ((1 << (k - 1)) - 1))) >> k)
 
 
-def fx_add(a: FixedScalar, b: FixedScalar) -> FixedScalar:
-    """Saturating datapath adder; operands must share a format."""
-    _check_fmt(a, b)
-    return FixedScalar(_saturate(a.raw + b.raw, a.fmt), a.fmt)
+def _saturated(raw, q: QFormat) -> FixedTensor:
+    return FixedTensor(np.asarray(np.clip(raw, q.raw_min, q.raw_max)), q)
 
 
-def fx_mul(a: FixedScalar, b: FixedScalar) -> FixedScalar:
-    """Multiply: exact double-width product, one requantize, saturate."""
+def fx_add(a: FixedTensor, b: FixedTensor) -> FixedTensor:
+    """Elementwise saturating datapath adder; operands share a format."""
     _check_fmt(a, b)
-    prod = a.raw * b.raw  # carries 2*frac_bits of fraction
+    return _saturated(np.asarray(a.raw, np.int64) + b.raw, a.fmt)
+
+
+def fx_mul(a: FixedTensor, b: FixedTensor) -> FixedTensor:
+    """Elementwise multiply: exact double-width product, one requantize,
+    saturate."""
+    _check_fmt(a, b)
+    # 2*frac_bits of fraction, in int64 whatever the raws' dtype: a Q32
+    # product is within 2**62
+    prod = np.asarray(a.raw, np.int64) * b.raw
     f = a.fmt.frac_bits
     # floor shift: the remainder is non-negative whatever the sign
-    raw = _round_half_even(prod >> f, prod & ((1 << f) - 1), f)
-    return FixedScalar(_saturate(raw, a.fmt), a.fmt)
+    return _saturated(_round_half_even(prod >> f, prod & ((1 << f) - 1), f),
+                      a.fmt)
 
 
-def fx_dot(a: FixedTensor, w: FixedTensor, bias: FixedScalar,
-           q: QFormat) -> FixedScalar:
+def fx_dot(a: FixedTensor, w: FixedTensor, bias: FixedTensor,
+           q: QFormat) -> FixedTensor:
     """One hardware MAC pipeline: full-width accumulate, requantize once.
 
-    A one-row call of `fx_linear`: the bias joins at accumulator precision
-    and a single round/saturate produces the result.
+    A one-row call of `fx_linear` on 1-D a and w and a 0-d bias: the bias
+    joins at accumulator precision and a single round/saturate produces
+    the 0-d result.
     """
     if a.raw.ndim != 1 or w.raw.ndim != 1:
         raise ValueError("fx_dot expects 1-D tensors")
     out = fx_linear(a, FixedTensor(w.raw[None, :], w.fmt),
-                    FixedTensor(np.array([bias.raw]), bias.fmt), q)
-    return FixedScalar(int(out.raw[0]), q)
+                    FixedTensor(np.reshape(bias.raw, 1), bias.fmt), q)
+    return FixedTensor(out.raw.reshape(()), q)
 
 
 def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
@@ -216,7 +205,9 @@ def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
     arithmetic.  A network layer loads its MacArray once, when it is
     quantized, and calls it on every input instead.
     """
-    return MacArray(w, b, q, stream=True)(x)
+    if w.fmt != q:
+        raise FormatMismatchError("all operands must be in the target format")
+    return MacArray(w, b, stream=True)(x)
 
 
 def _fits(row_l1, bias_acc, t: int) -> bool:
@@ -231,7 +222,7 @@ def _fits(row_l1, bias_acc, t: int) -> bool:
 def _limb(w: np.ndarray, s: int, signed: bool, k: int) -> np.ndarray:
     """The GEMM operand of weight limb s: (w >> s).T in float64, the signed
     top limb whole, a lower limb cut to its k unsigned bits."""
-    limb = w >> s
+    limb = w.astype(np.int64, copy=False) >> s
     if not signed:
         limb &= (1 << k) - 1
     return limb.T.astype(np.float64)
@@ -239,13 +230,14 @@ def _limb(w: np.ndarray, s: int, signed: bool, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MacArray:
-    """A MAC array with its operands loaded: weight-stationary, like the
-    hardware, so each call runs only the MAC pass on its input.
+    """A dense layer on the grid: weights w: [out, in], bias b: [out] and
+    an activation ("relu" or "linear"), all in w's format, with its
+    operands loaded: weight-stationary, like the hardware, so each call
+    runs only the MAC pass on its input.
 
-    Built from w: [out, in], b: [out] and their format.  Loading converts
-    w to the float64 GEMM operands described below, puts the bias at
-    accumulator scale and fixes the clamp bounds [lo, raw_max]: lo is
-    raw_min, or 0 with relu=True.  ReLU fused into the clamp is exact,
+    Loading converts w to the float64 GEMM operands described below, puts
+    the bias at accumulator scale and fixes the clamp bounds [lo, raw_max]:
+    lo is raw_min, or 0 for relu.  ReLU fused into the clamp is exact,
     relu(sat(a)) = clamp(a, 0, raw_max), because 0 lies on every grid;
     Jacob et al. (arXiv 1712.05877) fold activations into the output clamp
     of the integer GEMM the same way.
@@ -283,45 +275,42 @@ class MacArray:
       The loaded limbs take one float64 copy of w each; at worst (t-1)/k.
 
     stream=True makes a one-shot array, as fx_linear does: in the limb
-    regime it keeps w's raws and builds each limb inside the call, uses it
-    and drops it, so one limb is alive at a time instead of all of them.
-    A network layer keeps its limbs loaded: rebuilding them costs more
-    than their GEMMs at small batches.
+    regime it builds each limb from w inside the call, uses it and drops
+    it, so one limb is alive at a time instead of all of them.  A network
+    layer keeps its limbs loaded: rebuilding them costs more than their
+    GEMMs at small batches.
 
     Raises ValueError when no limb of k >= 1 bits exists, that is for
     n_in > 2**(52-t) (2**20 at 32 bits), whatever the weights.
     """
 
-    w: InitVar[FixedTensor]
-    b: InitVar[FixedTensor]
-    fmt: QFormat
-    relu: bool = False
+    w: FixedTensor
+    b: FixedTensor
+    activation: str = "linear"
     stream: InitVar[bool] = False
-    shape: tuple = field(init=False)         # (out, in) of w
     # (lo, raw_max) in the accumulator's dtype, which ndarray.clip reads
     # fastest
     bounds: tuple = field(init=False)
     # one-GEMM regime: w.T in float64 and b * 2**f; limbs is empty
     wt: np.ndarray | None = field(init=False, repr=False)
     # limb regime: (s, float64 limb.T) from the top limb down, or (s, None)
-    # with the int64 raws in w_raw when streamed; b as int64 (the
-    # accumulator's high word) and the top word's clamp cap
+    # when streamed; b as int64 (the accumulator's high word) and the top
+    # word's clamp cap
     limbs: tuple = field(init=False, repr=False)
-    w_raw: np.ndarray | None = field(init=False, repr=False)
     bias: np.ndarray = field(init=False, repr=False)
     k: int = field(init=False)
     cap: np.int64 = field(init=False)
 
-    def __post_init__(self, w: FixedTensor, b: FixedTensor, stream: bool):
-        q = self.fmt
-        if w.fmt != q or b.fmt != q:
-            raise FormatMismatchError(
-                "all operands must be in the target format")
+    def __post_init__(self, stream: bool):
+        w, b, q = self.w, self.b, self.w.fmt
+        _check_fmt(b, w)
         if w.raw.ndim != 2:
             raise ValueError(f"weights must be [out, in], got {w.raw.shape}")
         if b.raw.shape != (w.raw.shape[0],):
             raise ValueError(
                 f"bias shape {b.raw.shape} vs out {w.raw.shape[0]}")
+        if self.activation not in ("relu", "linear"):
+            raise ValueError(f"unknown activation {self.activation!r}")
         t, f = q.total_bits, q.frac_bits
         n_bits = (w.raw.shape[1] - 1).bit_length()
         k = 52 - (t - 1) - n_bits
@@ -332,7 +321,7 @@ class MacArray:
         # n_in * 2**(t-1) <= 2**51
         w_raw = w.raw.astype(np.int64, copy=False)
         b_raw = b.raw.astype(np.int64, copy=False)
-        wt, limbs, kept, cap = None, (), None, 0
+        wt, limbs, cap = None, (), 0
         if _fits(np.abs(w_raw).sum(axis=1), np.abs(b_raw) << f, t):
             acc_type = np.float64
             wt = w_raw.T.astype(np.float64)
@@ -343,25 +332,21 @@ class MacArray:
             cap = np.int64(1 << (n_bits + t + 1))
             top = next(s for s in range(0, t - 1, k)
                        if _fits(np.abs(w_raw >> s).sum(axis=1), 0, t))
-            kept = w_raw if stream else None
             limbs = tuple((s, None if stream else _limb(w_raw, s, s == top, k))
                           for s in range(top, -1, -k))
-        lo = 0 if self.relu else q.raw_min
-        for name, value in (("shape", w.raw.shape), ("wt", wt),
-                            ("limbs", limbs), ("w_raw", kept),
-                            ("bias", bias), ("k", k), ("cap", cap),
+        lo = 0 if self.activation == "relu" else q.raw_min
+        for name, value in (("wt", wt), ("limbs", limbs), ("bias", bias),
+                            ("k", k), ("cap", cap),
                             ("bounds", (acc_type(lo), acc_type(q.raw_max)))):
             object.__setattr__(self, name, value)
 
     def __call__(self, x: FixedTensor) -> FixedTensor:
         """One MAC pass over x: [n, in] or [in]; same shape out, [.., out]."""
-        q = self.fmt
-        if x.fmt != q:
-            raise FormatMismatchError(
-                "all operands must be in the target format")
-        if x.raw.ndim not in (1, 2) or x.raw.shape[-1] != self.shape[1]:
+        q = self.w.fmt
+        _check_fmt(x, self.w)
+        if x.raw.ndim not in (1, 2) or x.raw.shape[-1] != self.w.raw.shape[1]:
             raise ValueError(
-                f"shape mismatch: x {x.raw.shape} vs w {self.shape}")
+                f"shape mismatch: x {x.raw.shape} vs w {self.w.raw.shape}")
         if self.wt is not None:
             # x in float64 is freed right after the GEMM, and the int64
             # result below can reuse its memory
@@ -376,11 +361,11 @@ class MacArray:
 
     def _limb_pass(self, xf: np.ndarray) -> np.ndarray:
         """The limb regime up to the clamp; returns rounded int64 raws."""
-        f, k, cap = self.fmt.frac_bits, self.k, self.cap
+        f, k, cap = self.w.fmt.frac_bits, self.k, self.cap
         hi, lo, top = self.bias, 0, None
         for i, (s, limb) in enumerate(self.limbs):
             if limb is None:                # streamed: build, use, drop
-                limb = _limb(self.w_raw, s, i == 0, k)
+                limb = _limb(self.w.raw, s, i == 0, k)
             p = (xf @ limb).astype(np.int64)
             del limb
             if s >= f:

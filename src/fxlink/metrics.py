@@ -253,17 +253,17 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
     if len(dims) < 2:
         raise ValueError("dims needs at least one layer")
     n_samples = ofdm_cfg.n_subcarriers + ofdm_cfg.cp_len
+    budget_us = ofdm_cfg.symbol_duration * 1e6
     layers = []
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         macs = din * dout
         cycles = -(-macs // parallel_macs) + pipeline_depth
         time_us = cycles / f_clk * 1e6
-        budget_us = n_samples / ofdm_cfg.sample_rate * 1e6
         ok = cycles * ofdm_cfg.sample_rate < n_samples * f_clk
         layers.append(LayerLatency(i, din, dout, macs, cycles, time_us,
                                    budget_us, ok))
     return LatencyEstimate(layers, parallel_macs, pipeline_depth, f_clk,
-                           n_samples / ofdm_cfg.sample_rate * 1e6)
+                           budget_us)
 
 
 def stack_dims(model) -> list[int]:
@@ -307,6 +307,22 @@ class SweepSpec:
             raise ValueError("need at least one seed")
         if self.channel not in ofdm.CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
+        # every point, before run_sweep trains for any of them
+        for value in self.values:
+            hidden, layers, _ = self._point(value)
+            if hidden < 1 or layers < 2:
+                raise ValueError(
+                    f"{self.axis} = {value}: a model needs at least one "
+                    "hidden node and one layer per side")
+
+    def _point(self, value) -> tuple[int, int, QFormat]:
+        """(hidden_nodes, n_layers, qformat) of the model at one axis value."""
+        if self.axis == "hidden_nodes":
+            return int(value), self.n_layers, self.qformat
+        if self.axis == "n_layers":
+            return self.hidden_nodes, int(value), self.qformat
+        return (self.hidden_nodes, self.n_layers,
+                make_qformat(int(value), self.qformat.int_bits))
 
 
 @dataclass
@@ -353,15 +369,7 @@ def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None,
     try:
         for value in spec.values:
             for seed in spec.seeds:
-                hidden = spec.hidden_nodes
-                layers = spec.n_layers
-                q = spec.qformat
-                if spec.axis == "hidden_nodes":
-                    hidden = int(value)
-                elif spec.axis == "n_layers":
-                    layers = int(value)
-                else:
-                    q = make_qformat(int(value), spec.qformat.int_bits)
+                hidden, layers, q = spec._point(value)
                 model = _train_for_sweep(spec, hidden, layers, seed, cache)
                 qmodel = quantize_model(model, q)
                 report = layer_error_report(

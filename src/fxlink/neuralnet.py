@@ -12,7 +12,7 @@ introduced by the fixed datapath can be tracked layer by layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,26 +174,6 @@ def _backward_from(net: FCNet, x: np.ndarray, per_layer, g_out: np.ndarray):
     return grads, g
 
 
-def backward(net: FCNet, x: np.ndarray, target: np.ndarray,
-             loss_kind: str = "mse"):
-    """Analytic gradients of the loss w.r.t. every weight and bias.
-
-    Returns (loss, grads) with grads laid out like net.params.
-    """
-    if loss_kind != "mse":
-        raise ValueError(f"unknown loss {loss_kind!r}")
-    x = np.asarray(x, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    y, per_layer = forward_float(net, x)
-    if y.shape != target.shape:
-        raise ValueError(f"target shape {target.shape} != output {y.shape}")
-    diff = y - target
-    loss = float(np.mean(diff ** 2))
-    g_out = 2.0 * diff / diff.size
-    grads, _ = _backward_from(net, x, per_layer, g_out)
-    return loss, grads
-
-
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -225,26 +205,11 @@ def optimizer_step(params, grads, state, cfg: TrainConfig):
     return state
 
 
-@dataclass(frozen=True)
-class QuantizedLayer:
-    """A dense layer on the grid, with its MAC operands loaded once: mac
-    runs the layer (MAC pass, ReLU fused into the clamp) on an input."""
-
-    w: FixedTensor
-    b: FixedTensor
-    activation: str
-    mac: MacArray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mac", MacArray(
-            self.w, self.b, self.w.fmt, self.activation == "relu"))
-
-
 @dataclass
 class QuantizedNet:
     """FCNet with every parameter on a Q-format grid, stored as raw ints."""
 
-    layers: list[QuantizedLayer]
+    layers: list[MacArray]
     fmt: QFormat
     saturated_params: int = 0
 
@@ -263,15 +228,15 @@ class QuantizedNet:
 
 
 def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
-    """Snap every weight and bias of a float net onto fmt's grid.
+    """Snap every weight and bias of a float net onto fmt's grid: one
+    MacArray per layer, which is the quantized layer.
 
     The raws are read-only: the layers' loaded MAC operands are copies, so
     a write to a raw would leave them stale.
     """
     q = quantize(net.params, fmt)
     q.raw.flags.writeable = False
-    layers = [QuantizedLayer(FixedTensor(w, fmt), FixedTensor(b, fmt),
-                             l.activation)
+    layers = [MacArray(FixedTensor(w, fmt), FixedTensor(b, fmt), l.activation)
               for (w, b), l in zip(layer_views(q.raw, net.dims), net.layers)]
     return QuantizedNet(layers, fmt, saturation_count(net.params, fmt))
 
@@ -279,8 +244,8 @@ def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
 def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     """Fixed-point forward pass on the quantized datapath.
 
-    The input is quantized once; each layer is one call of its loaded
-    MacArray, whose saturating clamp also applies the layer's relu (exact,
+    The input is quantized once; each layer is one call of the MacArray
+    it is, whose saturating clamp also applies the layer's relu (exact,
     since 0 lies on every grid).  Returns (y, per_layer) where y is the
     dequantized output (vector or batch, matching x) and per_layer is the
     list of FixedTensor taps.
@@ -292,6 +257,6 @@ def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     a = quantize(x, qnet.fmt)
     per_layer = []
     for layer in qnet.layers:
-        a = layer.mac(a)
+        a = layer(a)
         per_layer.append(a)
     return a.values, per_layer

@@ -229,11 +229,6 @@ def quantize_model(model: AutoencoderModel, q: QFormat) -> QuantizedModel:
                           q, model.ofdm, model.rate)
 
 
-def grid_violations(model: AutoencoderModel, q: QFormat) -> int:
-    """Count parameters that do not lie exactly on q's grid."""
-    return _n_off_grid(ModelArtifact.from_model(model).payload, q)
-
-
 @dataclass
 class VerifyReport:
     dims_ok: bool            # header: qformat and dims chains well-formed

@@ -169,7 +169,7 @@ def test_c7_oracle_suites(awgn_model, tmp_path):
             b_raw = int(rng.integers(q.raw_min, q.raw_max + 1))
             got = fx.fx_dot(fx.FixedTensor(a_raw, q),
                             fx.FixedTensor(w_raw, q),
-                            fx.FixedScalar(b_raw, q), q)
+                            fx.FixedTensor(np.array(b_raw), q), q)
             assert got.raw == tf.oracle_dot_raw(a_raw, w_raw, b_raw,
                                                 q.total_bits, q.frac_bits)
 

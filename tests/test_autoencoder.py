@@ -24,6 +24,13 @@ def test_encoded_length_follows_rate(ofdm16):
     assert noiseless_link(model, r)[1]["encoded"].shape == (64,)
 
 
+def test_build_model_rejects_empty_shapes(ofdm16):
+    with pytest.raises(ValueError, match="layer per side"):
+        ae.build_model(ofdm16, 16, 1)
+    with pytest.raises(ValueError, match="hidden node"):
+        ae.build_model(ofdm16, 0, 3)
+
+
 def test_rate_times_encoded_equals_information(ofdm16):
     for rate in (1.0, 0.5, 0.25):
         model = ae.build_model(ofdm16, 8, 2, rate=rate, seed=0)

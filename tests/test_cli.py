@@ -105,9 +105,12 @@ BAD_VALUES = {
     "equalize": ("train", "[channel]\nequalize = maybe"),
     "rate": ("train", "[model]\nrate = 2"),
     "layers": ("train", "[model]\nlayers = 1"),
+    "hidden_nodes": ("train", "[model]\nhidden_nodes = 0"),
     "axis": ("sweep", "[sweep]\naxis = depth"),
     "values": ("sweep", "[sweep]\nvalues = 8,x"),
     "values_not_int": ("sweep", "[sweep]\nvalues = 8.5"),
+    "values_layers": ("sweep", "[sweep]\naxis = n_layers\nvalues = 2,1"),
+    "values_hidden": ("sweep", "[sweep]\naxis = hidden_nodes\nvalues = 0"),
     "seeds_empty": ("sweep", "[sweep]\nseeds ="),
     "sweep_kind": ("sweep", "[channel]\nkind = rician"),
     "bits": ("sweep", "[quantize]\nbits = 40"),
@@ -121,6 +124,7 @@ def test_bad_config_value_exits_1(tmp_path, capsys, case):
     cfg.write_text(text + "\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "fxlink: config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()    # nothing was trained
 
 
 def test_sweep_values_and_seeds_stay_exact_integers(tmp_path):
@@ -227,6 +231,13 @@ def test_latency_csv_and_pass_fail(tmp_path, capsys):
     assert main(["latency", "--parallel-macs", "1", "--out",
                  str(tmp_path)]) == 0
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_latency_non_integer_dims_exits_1(tmp_path, capsys):
+    assert main(["latency", "--dims", "32.7,512,32", "--out",
+                 str(tmp_path)]) == 1
+    assert "fxlink: config error:" in capsys.readouterr().err
+    assert not (tmp_path / "latency.csv").exists()
 
 
 def test_fxlink_out_env_override(tiny_config, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fxlink.fixedpoint import (BitAllocationError, FixedScalar, FixedTensor,
+from fxlink.fixedpoint import (BitAllocationError, FixedTensor,
                                FormatMismatchError, dequantize, fx_add,
                                fx_dot, fx_linear, fx_mul, make_qformat,
                                quantize)
@@ -74,14 +74,14 @@ def test_qformat_invalid(total, ints):
 def test_quantize_examples():
     assert quantize(0.0, Q16).raw == 0
     s = quantize(0.1, Q16)
-    assert s.raw == 410 and s.value == 0.10009765625
-    assert quantize(10.0, Q16).value == 7.999755859375
-    assert quantize(-10.0, Q16).value == -8.0
+    assert s.raw == 410 and s.values == 0.10009765625 and s.shape == ()
+    assert quantize(10.0, Q16).values == 7.999755859375
+    assert quantize(-10.0, Q16).values == -8.0
 
 
 def test_dequantize_examples():
-    assert dequantize(FixedScalar(4096, Q16)) == 1.0
-    assert dequantize(FixedScalar(-32768, Q16)) == -8.0
+    assert dequantize(FixedTensor(np.array(4096), Q16)) == 1.0
+    assert dequantize(FixedTensor(np.array(-32768), Q16)) == -8.0
 
 
 def test_quantize_matches_oracle():
@@ -144,9 +144,9 @@ def test_rms_error_scales_with_step():
 
 def test_add_basic_and_saturating():
     one = quantize(1.0, Q16)
-    assert fx_add(one, one).value == 2.0
+    assert fx_add(one, one).values == 2.0
     big = quantize(7.5, Q16)
-    assert fx_add(big, big).value == 7.999755859375
+    assert fx_add(big, big).values == 7.999755859375
     zero = quantize(0.0, Q16)
     x = quantize(-3.2, Q16)
     assert fx_add(x, zero) == x
@@ -160,10 +160,10 @@ def test_add_format_mismatch():
 def test_mul_examples():
     a = quantize(0.5, Q16)
     b = quantize(0.25, Q16)
-    assert fx_mul(a, b).value == 0.125
+    assert fx_mul(a, b).values == 0.125
     c = quantize(0.10009765625, Q16)
     out = fx_mul(c, c)
-    assert out.raw == 41 and out.value == 0.010009765625
+    assert out.raw == 41 and out.values == 0.010009765625
     assert fx_mul(a, quantize(0.0, Q16)).raw == 0
 
 
@@ -172,7 +172,8 @@ def test_mul_matches_oracle():
     for q in (Q8, Q16, make_qformat(32, 3)):
         raws = rng.integers(q.raw_min, q.raw_max + 1, size=(500, 2))
         for ra, rb in raws:
-            got = fx_mul(FixedScalar(int(ra), q), FixedScalar(int(rb), q))
+            got = fx_mul(FixedTensor(np.array(ra), q),
+                         FixedTensor(np.array(rb), q))
             prod = Fraction(int(ra) * int(rb), 1 << q.frac_bits)
             want = oracle_round_half_even(prod)
             want = min(max(want, q.raw_min), q.raw_max)
@@ -194,7 +195,7 @@ def test_dot_saturates_only_at_requantize():
     a = quantize(np.ones(8), Q16)
     w = quantize(np.ones(8), Q16)
     out = fx_dot(a, w, quantize(0.0, Q16), Q16)
-    assert out.value == 7.999755859375
+    assert out.values == 7.999755859375
 
 
 def test_dot_matches_bigint_oracle():
@@ -209,7 +210,7 @@ def test_dot_matches_bigint_oracle():
             w_raw = rng.integers(q.raw_min, q.raw_max + 1, size=n)
             b_raw = int(rng.integers(q.raw_min, q.raw_max + 1))
             got = fx_dot(FixedTensor(a_raw, q), FixedTensor(w_raw, q),
-                         FixedScalar(b_raw, q), q)
+                         FixedTensor(np.array(b_raw), q), q)
             want = oracle_dot_raw(a_raw, w_raw, b_raw, q.total_bits,
                                   q.frac_bits)
             assert got.raw == want
@@ -223,12 +224,12 @@ def test_dot_exact_when_result_representable():
         a = quantize(rng.uniform(-0.4, 0.4, n), Q16)
         w = quantize(rng.uniform(-0.4, 0.4, n), Q16)
         b = quantize(float(rng.uniform(-0.5, 0.5)), Q16)
-        exact = float(a.values @ w.values + b.value)
+        exact = float(a.values @ w.values + b.values)
         if abs(exact) > Q16.max_value:
             continue
         got = fx_dot(a, w, b, Q16)
         # 2*frac product grid: exact iff value*scale^2 integral, always here
-        assert got.value == pytest.approx(exact, abs=Q16.step / 2)
+        assert got.values == pytest.approx(exact, abs=Q16.step / 2)
 
 
 def test_dot_length_and_format_errors():

@@ -233,6 +233,13 @@ def test_sweep_rejects_bad_spec(ofdm16):
     with pytest.raises(ValueError, match="channel kind"):
         mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
                      channel="rician")
+    # every axis value is checked before run_sweep trains for any
+    for axis, values in (("n_layers", [2, 1]), ("hidden_nodes", [4, 0]),
+                         ("bit_width", [8, 40])):
+        with pytest.raises(ValueError):
+            mx.SweepSpec(axis=axis, values=values, seeds=[0])
+    with pytest.raises(ValueError, match="hidden node"):
+        mx.SweepSpec(axis="bit_width", values=[8], seeds=[0], hidden_nodes=0)
 
 
 # ---------------------------------------------------------------------------

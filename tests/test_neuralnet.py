@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fxlink.fixedpoint import FixedTensor, fx_linear, make_qformat, quantize
-from fxlink.neuralnet import (DenseLayer, FCNet, TrainConfig, backward,
+from fxlink.neuralnet import (DenseLayer, FCNet, TrainConfig, _backward_from,
                               forward_fixed, forward_float, init_he,
                               optimizer_step, quantize_net)
 
@@ -80,6 +80,15 @@ def test_forward_dim_mismatch():
 # ---------------------------------------------------------------------------
 # gradients vs central differences
 # ---------------------------------------------------------------------------
+
+def backward(net, x, target):
+    """(MSE loss, its gradient laid out like net.params) by forward_float
+    and the production backprop, _backward_from."""
+    y, per_layer = forward_float(net, x)
+    diff = y - target
+    grads, _ = _backward_from(net, x, per_layer, 2.0 * diff / diff.size)
+    return float(np.mean(diff ** 2)), grads
+
 
 def central_diff_grads(net, x, target, h=1e-5):
     flat = net.params
@@ -267,7 +276,7 @@ def test_fx_linear_equals_loaded_layer(bits):
             want = fx_linear(a, layer.w, layer.b, q).raw
             if layer.activation == "relu":
                 want = np.maximum(want, 0)
-            got = layer.mac(a)
+            got = layer(a)
             assert got.fmt == q and np.array_equal(got.raw, want)
             a = got
 

@@ -11,8 +11,8 @@ from fxlink import autoencoder as ae
 from fxlink.neuralnet import n_params
 from fxlink.paramdelivery import (MAGIC, ArtifactError, ChecksumMismatch,
                                   ModelArtifact, UnsupportedVersion,
-                                  grid_violations, load_artifact, load_model,
-                                  quantize_model, save_model, verify)
+                                  load_artifact, load_model, quantize_model,
+                                  save_model, verify)
 
 Q16 = fx.make_qformat(16, 3)
 
@@ -223,7 +223,14 @@ def test_quantize_saturation_reported():
     assert qm.encoder.layers[0].w.values[0, 0] == 7.999755859375
 
 
-def test_quantize_idempotent():
+def grid_report(model, tmp_path):
+    """verify() of the model saved with Q16 as its declared format."""
+    path = tmp_path / "m.fxl"
+    save_model(model, path, qformat=Q16)
+    return verify(load_artifact(path))
+
+
+def test_quantize_idempotent(tmp_path):
     model = fresh_model(10)
     qm = quantize_model(model, Q16)
     back = ae.AutoencoderModel(qm.encoder.to_float(), qm.decoder.to_float(),
@@ -233,9 +240,10 @@ def test_quantize_idempotent():
     for a, b in zip(qm.encoder.layers, qm2.encoder.layers):
         assert np.array_equal(a.w.raw, b.w.raw)
         assert np.array_equal(a.b.raw, b.b.raw)
-    assert grid_violations(back, Q16) == 0
+    assert grid_report(back, tmp_path).grid_ok is True
     back.encoder.layers[0].w[0, 0] = 16.0   # a multiple of the step, too big
-    assert grid_violations(back, Q16) == 1
+    assert grid_report(back, tmp_path).problems == [
+        "1 parameters off the Q16.3 grid"]
 
 
 def test_no_saturation_when_params_in_range():
