@@ -16,7 +16,7 @@ f_clk = 100e6
 
 print(f"stack dims: {dims}")
 print(f"clock {f_clk/1e6:g} MHz, OFDM symbol "
-      f"{(ofdm.n_subcarriers + ofdm.cp_len) / ofdm.sample_rate * 1e6:g} us "
+      f"{ofdm.symbol_duration * 1e6:g} us "
       f"({ofdm.n_subcarriers}+{ofdm.cp_len} samples at "
       f"{ofdm.sample_rate/1e6:g} MHz)\n")
 

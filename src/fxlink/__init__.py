@@ -9,10 +9,10 @@ budget.
 
 from .autoencoder import (AutoencoderModel, SymbolBlock, TrainResult,
                           TrainingDiverged, build_model, calibrate_ranges,
-                          end_to_end, loss, train)
+                          end_to_end, train)
 from .fixedpoint import (BitAllocationError, FixedTensor, FormatMismatchError,
-                         QFormat, dequantize, fx_add, fx_dot, fx_linear,
-                         fx_mul, make_qformat, quantize)
+                         QFormat, fx_add, fx_dot, fx_linear, fx_mul,
+                         make_qformat, quantize)
 from .metrics import (BerCurve, LatencyEstimate, LayerErrorReport, SweepRow,
                       SweepSpec, ber_sweep, estimate_latency, evm,
                       layer_error_report, qpsk_awgn_ber_theory, relative_rms,

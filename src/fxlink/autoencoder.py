@@ -45,6 +45,23 @@ class SymbolBlock:
         return ofdm.to_reals(self.symbols)
 
 
+def encoded_dim(ofdm_cfg: OfdmConfig, rate: float) -> int:
+    """Real-valued encoder output width, 2*N/rate, for a rate in (0, 1]
+    whose N/rate transmitted subcarriers are a whole power of two."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError("rate must be in (0, 1]")
+    n_tx = ofdm_cfg.n_subcarriers / rate
+    if abs(n_tx - round(n_tx)) > 5e-10:
+        raise ValueError(f"rate {rate} does not yield a whole "
+                         "number of complex samples")
+    n_tx = round(n_tx)
+    if n_tx & (n_tx - 1):
+        raise ValueError(
+            f"encoded block of {n_tx} complex samples is not a power of "
+            "two; pick a rate that keeps the IFFT radix-2")
+    return 2 * n_tx
+
+
 @dataclass
 class AutoencoderModel:
     encoder: FCNet
@@ -53,30 +70,18 @@ class AutoencoderModel:
     rate: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
-        d_in = 2 * self.ofdm.n_subcarriers
-        d_enc = self.encoded_dim
+        d_in, d_enc = 2 * self.ofdm.n_subcarriers, self.encoded_dim
         if self.encoder.dims[0] != d_in or self.encoder.dims[-1] != d_enc:
             raise ValueError(
                 f"encoder must map {d_in} -> {d_enc}, got {self.encoder.dims}")
         if self.decoder.dims[0] != d_enc or self.decoder.dims[-1] != d_in:
             raise ValueError(
                 f"decoder must map {d_enc} -> {d_in}, got {self.decoder.dims}")
-        n_tx = d_enc // 2
-        if n_tx & (n_tx - 1):
-            raise ValueError(
-                f"encoded block of {n_tx} complex samples is not a power of "
-                "two; pick a rate that keeps the IFFT radix-2")
 
     @property
     def encoded_dim(self) -> int:
         """Real-valued encoder output width: 2*N/rate."""
-        d = 2 * self.ofdm.n_subcarriers / self.rate
-        if abs(d - round(d)) > 1e-9 or round(d) % 2:
-            raise ValueError(f"rate {self.rate} does not yield a whole "
-                             "number of complex samples")
-        return int(round(d))
+        return encoded_dim(self.ofdm, self.rate)
 
     @property
     def n_tx_subcarriers(self) -> int:
@@ -99,7 +104,7 @@ def build_model(ofdm_cfg: OfdmConfig, hidden_nodes: int = 128,
     n_enc = (total_layers + 1) // 2
     n_dec = total_layers - n_enc
     d_in = 2 * ofdm_cfg.n_subcarriers
-    d_enc = int(round(d_in / rate))
+    d_enc = encoded_dim(ofdm_cfg, rate)
     enc_dims = [d_in] + [hidden_nodes] * (n_enc - 1) + [d_enc]
     dec_dims = [d_enc] + [hidden_nodes] * (n_dec - 1) + [d_in]
     encoder = nn.init_he(enc_dims, seed=seed)
@@ -127,14 +132,6 @@ def normalize_power(x: np.ndarray):
     return x / s, s
 
 
-def loss(r: np.ndarray, r_hat: np.ndarray) -> float:
-    r = np.asarray(r, dtype=np.float64)
-    r_hat = np.asarray(r_hat, dtype=np.float64)
-    if r.shape != r_hat.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {r_hat.shape}")
-    return float(np.mean((r_hat - r) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # The link: one forward for training, inference and the layer-error report
 # ---------------------------------------------------------------------------
@@ -152,14 +149,11 @@ def _link(model, x0, h, noise, fwd, equalize):
     if noise is not None:
         rx_freq += noise
     if equalize:
-        dec_in_c, singular = ofdm.equalize_zf(rx_freq, h)
-    else:
-        dec_in_c, singular = rx_freq, np.zeros(rx_freq.shape, dtype=bool)
-    dec_in = ofdm.to_reals(dec_in_c)
+        rx_freq, _ = ofdm.equalize_zf(rx_freq, h)
+    dec_in = ofdm.to_reals(rx_freq)
     dec_out, dec_layers = fwd(model.decoder, dec_in)
     taps = {
-        "encoded": encoded, "power_scale": scale, "rx_freq": rx_freq,
-        "dec_input": dec_in, "singular": singular,
+        "encoded": encoded, "power_scale": scale, "dec_input": dec_in,
         "encoder_layers": enc_layers, "decoder_layers": dec_layers,
     }
     return dec_out, taps
@@ -176,8 +170,8 @@ def end_to_end(model, bits: np.ndarray,
     engine both networks run on the integer datapath while the non-network
     blocks (normalization, channel, ZF) stay float.
 
-    Returns (decoded_bits, taps); taps captures every intermediate signal
-    plus both networks' per-layer outputs.
+    Returns (decoded_bits, taps); taps holds the tx/rx symbols, the encoded
+    block, the decoder input and both networks' per-layer outputs.
     """
     if engine == "float":
         if not isinstance(model.encoder, FCNet):
@@ -251,24 +245,23 @@ def chain_loss_and_grads(model, x0, h, noise, equalize=True):
     return batch_loss, enc_grads, dec_grads
 
 
-def calibrate_ranges(model: AutoencoderModel, rng: np.random.Generator,
-                     n_blocks: int = 2000, target: float = 4.0,
-                     percentile: float = 99.9) -> AutoencoderModel:
+def calibrate_ranges(model: AutoencoderModel,
+                     rng: np.random.Generator) -> AutoencoderModel:
     """Rebalance per-layer scales so activations fit a fixed-point range.
 
     Relu is positively homogeneous, so scaling a layer's (W, b) by g and
     the next layer's W by 1/g leaves the network function unchanged; the
     power normalization absorbs the encoder's output scale.  Each hidden
-    tap is scaled so its |activation| percentile sits at `target`
-    (percentile rather than max: wider layers would otherwise be governed
-    by their outliers), keeping the fixed-point datapath clear of
-    saturation without touching what the float network computes.  The
-    decoder's final layer is left alone (its output is the
+    tap is scaled so its 99.9th |activation| percentile over 2000 random
+    blocks sits at 4 (percentile rather than max: wider layers would
+    otherwise be governed by their outliers), keeping the fixed-point
+    datapath clear of saturation without touching what the float network
+    computes.  The decoder's final layer is left alone (its output is the
     reconstruction).
     """
     model = AutoencoderModel(model.encoder.copy(), model.decoder.copy(),
                              model.ofdm, model.rate)
-    block = random_block(n_blocks, model.ofdm, rng)
+    block = random_block(2000, model.ofdm, rng)
 
     def rebalance(net, x, skip_last):
         _, taps = nn.forward_float(net, x)
@@ -277,8 +270,8 @@ def calibrate_ranges(model: AutoencoderModel, rng: np.random.Generator,
             if skip_last and i == len(net.layers) - 1:
                 g = 1.0
             else:
-                peak = float(np.percentile(np.abs(taps[i]), percentile))
-                g = target / peak if peak > 0 else 1.0
+                peak = float(np.percentile(np.abs(taps[i]), 99.9))
+                g = 4.0 / peak if peak > 0 else 1.0
             layer.w[...] *= g / g_prev
             layer.b[...] *= g
             g_prev = g

@@ -140,7 +140,7 @@ def cmd_train(args) -> int:
     try:
         model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
                                spec.rate, seed=tc.seed)
-    except ValueError as exc:               # rate
+    except ValueError as exc:       # a shape the sweep axis left unchecked
         raise ConfigError(str(exc)) from exc
     result = ae.train(model, tc, spec.channel, spec.equalize,
                       rng=split_rng(tc.seed, _STREAM_TRAIN))

@@ -96,12 +96,17 @@ def make_qformat(total_bits: int, int_bits: int = 3) -> QFormat:
     return QFormat(total_bits, int_bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedTensor:
     """Array of raw integers sharing one Q-format; a scalar is 0-d."""
 
     raw: np.ndarray
     fmt: QFormat
+
+    def __eq__(self, other):
+        if not isinstance(other, FixedTensor):
+            return NotImplemented
+        return self.fmt == other.fmt and np.array_equal(self.raw, other.raw)
 
     @property
     def shape(self):
@@ -123,17 +128,10 @@ def quantize(x, q: QFormat):
         raise ValueError("quantize requires finite input")
     # Scaling by a power of two is exact in float64, so np.rint applies the
     # half-even rule to the mathematically exact scaled value.
-    raw = np.rint(arr * q.scale)
-    if arr.ndim == 0:                   # a ufunc returns a 0-d input bare
-        raw = np.array(raw)
+    raw = np.asarray(np.rint(arr * q.scale))    # rint returns 0-d bare
     # ndarray.clip skips np.clip's Python wrapper
     return FixedTensor(raw.clip(q.raw_min, q.raw_max, out=raw)
                        .astype(np.int64), q)
-
-
-def dequantize(f: FixedTensor):
-    """Exact real value of f: its .values."""
-    return f.values
 
 
 def saturation_count(x, q: QFormat) -> int:

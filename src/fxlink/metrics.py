@@ -229,9 +229,6 @@ class LayerLatency:
 @dataclass
 class LatencyEstimate:
     layers: list[LayerLatency]
-    parallel_macs: int
-    pipeline_depth: int
-    f_clk: float
     symbol_duration_us: float
 
     @property
@@ -262,8 +259,7 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
         ok = cycles * ofdm_cfg.sample_rate < n_samples * f_clk
         layers.append(LayerLatency(i, din, dout, macs, cycles, time_us,
                                    budget_us, ok))
-    return LatencyEstimate(layers, parallel_macs, pipeline_depth, f_clk,
-                           budget_us)
+    return LatencyEstimate(layers, budget_us)
 
 
 def stack_dims(model) -> list[int]:
@@ -307,6 +303,7 @@ class SweepSpec:
             raise ValueError("need at least one seed")
         if self.channel not in ofdm.CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
+        ae.encoded_dim(self.ofdm, self.rate)        # checks the rate
         # every point, before run_sweep trains for any of them
         for value in self.values:
             hidden, layers, _ = self._point(value)
@@ -330,7 +327,6 @@ class SweepRow:
     axis: str
     value: object
     seed: int
-    per_layer_rms_pct: list[float]
     final_rms_pct: float
     ber_ref: float
 
@@ -346,9 +342,9 @@ def _train_for_sweep(spec: SweepSpec, hidden: int, layers: int, seed: int,
     return cache[key]
 
 
-def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None,
-              model_cache: dict | None = None) -> list[SweepRow]:
-    """One row per (axis value, seed): per-layer RMS + BER at the
+def run_sweep(spec: SweepSpec,
+              rng: np.random.Generator | None = None) -> list[SweepRow]:
+    """One row per (axis value, seed): final-layer RMS + BER at the
     reference SNR.
 
     bit_width sweeps reuse a single trained model per seed and vary the
@@ -358,7 +354,7 @@ def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None,
     """
     if rng is None:
         rng = np.random.default_rng(12345)
-    cache = model_cache if model_cache is not None else {}
+    cache = {}
     rows = []
     writer = None
     fh = None
@@ -384,8 +380,8 @@ def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None,
                     spec.ber_min_bits, spec.ber_max_bits,
                     np.random.default_rng(rng.integers(2 ** 63)),
                     equalize=spec.equalize)
-                row = SweepRow(spec.axis, value, seed, report.rel_rms_pct,
-                               report.final_layer, curve.points[0].ber)
+                row = SweepRow(spec.axis, value, seed, report.final_layer,
+                               curve.points[0].ber)
                 rows.append(row)
                 if writer:
                     writer.writerow([row.axis, row.value, row.seed,

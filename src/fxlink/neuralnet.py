@@ -104,19 +104,15 @@ class TrainConfig:
             raise ValueError("snr_range_db must be non-empty")
 
 
-def init_he(dims: list[int], activations: list[str] | None = None,
-            seed: int = 0) -> FCNet:
+def init_he(dims: list[int], seed: int = 0) -> FCNet:
     """He-initialized network: W ~ N(0, 2/fan_in), zero biases.
 
-    Default activation plan is relu on every layer but the last, linear
-    output.  Deterministic for a given seed.
+    Relu on every layer but the last, linear output.  Deterministic for a
+    given seed.
     """
     if len(dims) < 2:
         raise ValueError("dims needs an input and an output size")
-    if activations is None:
-        activations = ["relu"] * (len(dims) - 2) + ["linear"]
-    if len(activations) != len(dims) - 1:
-        raise ValueError("one activation per weight layer required")
+    activations = ["relu"] * (len(dims) - 2) + ["linear"]
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):
@@ -136,9 +132,6 @@ def forward_float(net: FCNet, x: np.ndarray):
     where per_layer[i] is layer i's post-activation output.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != net.layers[0].in_dim:
-        raise ValueError(
-            f"input dim {x.shape[-1]} != layer dim {net.layers[0].in_dim}")
     per_layer = []
     a = x
     for layer in net.layers:
@@ -222,10 +215,6 @@ class QuantizedNet:
         return [self.layers[0].w.raw.shape[1]] + \
             [l.w.raw.shape[0] for l in self.layers]
 
-    def to_float(self) -> FCNet:
-        return FCNet([DenseLayer(l.w.values, l.b.values, l.activation)
-                      for l in self.layers])
-
 
 def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
     """Snap every weight and bias of a float net onto fmt's grid: one
@@ -250,10 +239,6 @@ def forward_fixed(qnet: QuantizedNet, x: np.ndarray):
     dequantized output (vector or batch, matching x) and per_layer is the
     list of FixedTensor taps.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != qnet.dims[0]:
-        raise ValueError(
-            f"input dim {x.shape[-1]} != layer dim {qnet.dims[0]}")
     a = quantize(x, qnet.fmt)
     per_layer = []
     for layer in qnet.layers:

@@ -68,16 +68,6 @@ def test_trained_noiseless_reconstruction(awgn_model, ofdm16):
     assert np.mean((r_hat - blk.reals) ** 2) < 1e-2
 
 
-def test_loss_basics():
-    assert ae.loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert ae.loss(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
-    rng = np.random.default_rng(2)
-    a, b = rng.normal(size=8), rng.normal(size=8)
-    assert ae.loss(a, b) >= 0.0
-    with pytest.raises(ValueError):
-        ae.loss(np.zeros(3), np.zeros(4))
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -240,9 +230,17 @@ def test_calibration_preserves_function_and_bounds_taps(ofdm16):
     x = ae.random_block(300, ofdm16, rng).reals
     _, enc_taps = nn.forward_float(trained.encoder, x)
     assert all(np.abs(t).max() <= 8.0 for t in enc_taps)
-    # recalibrating with a different target keeps the chain output
-    recal = ae.calibrate_ranges(trained, np.random.default_rng(17),
-                                target=2.0)
+    # scaling a relu layer by 2 and the next layer's weights by 1/2 keeps
+    # the function; recalibrating moves the parameters, not the output
+    scaled = ae.AutoencoderModel(trained.encoder.copy(),
+                                 trained.decoder.copy(), trained.ofdm,
+                                 trained.rate)
+    first, second = scaled.encoder.layers[:2]
+    first.w[...] *= 2.0
+    first.b[...] *= 2.0
+    second.w[...] *= 0.5
+    recal = ae.calibrate_ranges(scaled, np.random.default_rng(17))
+    assert not np.allclose(recal.encoder.params, scaled.encoder.params)
     y1, _ = noiseless_link(trained, x)
     y2, _ = noiseless_link(recal, x)
     assert np.allclose(y1, y2, atol=1e-9)

@@ -114,6 +114,8 @@ BAD_VALUES = {
     "seeds_empty": ("sweep", "[sweep]\nseeds ="),
     "sweep_kind": ("sweep", "[channel]\nkind = rician"),
     "bits": ("sweep", "[quantize]\nbits = 40"),
+    "sweep_rate": ("sweep", "[model]\nrate = 2"),
+    "sweep_rate_fraction": ("sweep", "[model]\nrate = 0.3"),
 }
 
 

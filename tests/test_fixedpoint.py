@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fxlink.fixedpoint import (BitAllocationError, FixedTensor,
-                               FormatMismatchError, dequantize, fx_add,
-                               fx_dot, fx_linear, fx_mul, make_qformat,
-                               quantize)
+                               FormatMismatchError, fx_add, fx_dot,
+                               fx_linear, fx_mul, make_qformat, quantize)
 
 Q16 = make_qformat(16, 3)
 Q8 = make_qformat(8, 3)
@@ -68,7 +67,7 @@ def test_qformat_invalid(total, ints):
 
 
 # ---------------------------------------------------------------------------
-# quantize / dequantize
+# quantize and the real value of a raw
 # ---------------------------------------------------------------------------
 
 def test_quantize_examples():
@@ -80,8 +79,17 @@ def test_quantize_examples():
 
 
 def test_dequantize_examples():
-    assert dequantize(FixedTensor(np.array(4096), Q16)) == 1.0
-    assert dequantize(FixedTensor(np.array(-32768), Q16)) == -8.0
+    assert FixedTensor(np.array(4096), Q16).values == 1.0
+    assert FixedTensor(np.array(-32768), Q16).values == -8.0
+
+
+def test_tensor_equality_compares_values():
+    a = quantize([1.0, 2.0], Q16)
+    assert a == quantize([1.0, 2.0], Q16)
+    assert a != quantize([1.0, 2.5], Q16)               # a different raw
+    assert a != quantize([1.0, 2.0], make_qformat(16, 4))   # a format
+    with pytest.raises(TypeError):                      # still unhashable
+        hash(a)
 
 
 def test_quantize_matches_oracle():

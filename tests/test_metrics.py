@@ -1,11 +1,13 @@
 """Measurement layer: error metrics, BER Monte-Carlo, latency, sweeps."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fxlink as fx
+from fxlink import autoencoder as ae
 from fxlink import metrics as mx
 
 Q16 = fx.make_qformat(16, 3)
@@ -43,7 +45,6 @@ def test_evm_basics():
 
 def test_evm_fixed_vs_float_under_one_percent(awgn_model):
     # implementation-error EVM: same noiseless link through both engines
-    from fxlink import autoencoder as ae
     qm = fx.quantize_model(awgn_model, Q16)
     rng = np.random.default_rng(40)
     bits = rng.integers(0, 2, size=(2000, 32))
@@ -212,15 +213,16 @@ def test_sweep_bit_width_rows(tmp_path, ofdm16):
 
 
 def test_sweep_trains_one_model_per_seed(tmp_path, ofdm16):
-    cache = {}
     spec = mx.SweepSpec(
         axis="bit_width", values=[8, 16], seeds=[0, 1], ofdm=ofdm16,
         hidden_nodes=16, n_layers=2, train=tiny_train_cfg(),
         channel="awgn", equalize=False, rms_samples=200,
         ber_min_bits=10_000, ber_max_bits=20_000)
-    rows = mx.run_sweep(spec, model_cache=cache)
+    with mock.patch.object(ae, "train", wraps=ae.train) as train:
+        rows = mx.run_sweep(spec)
     assert len(rows) == 4
-    assert len(cache) == 2  # one trained model per seed, shared across widths
+    # one trained model per seed, shared across widths
+    assert train.call_count == 2
 
 
 def test_sweep_rejects_bad_spec(ofdm16):
@@ -240,6 +242,10 @@ def test_sweep_rejects_bad_spec(ofdm16):
             mx.SweepSpec(axis=axis, values=values, seeds=[0])
     with pytest.raises(ValueError, match="hidden node"):
         mx.SweepSpec(axis="bit_width", values=[8], seeds=[0], hidden_nodes=0)
+    for rate, msg in ((2.0, "rate must be"), (0.3, "whole number"),
+                      (2 / 3, "power of two")):
+        with pytest.raises(ValueError, match=msg):
+            mx.SweepSpec(axis="bit_width", values=[8], seeds=[0], rate=rate)
 
 
 # ---------------------------------------------------------------------------

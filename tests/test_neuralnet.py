@@ -72,9 +72,13 @@ def test_forward_tap_count_and_batch():
 
 
 def test_forward_dim_mismatch():
+    # the first layer's matmul, or the first MacArray, rejects the width
     net = init_he([8, 4], seed=0)
-    with pytest.raises(ValueError):
-        forward_float(net, np.zeros(5))
+    for fwd, n in ((forward_float, net),
+                   (forward_fixed, quantize_net(net, Q16))):
+        for x in (np.zeros(5), np.zeros((3, 5))):
+            with pytest.raises(ValueError):
+                fwd(n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +272,7 @@ def test_relu_on_raw_equals_relu_then_quantize():
 def test_fx_linear_equals_loaded_layer(bits):
     q = make_qformat(bits, 3)
     rng = np.random.default_rng(bits)
-    net = init_he([12, 9, 5], ["relu", "linear"], seed=bits)
+    net = init_he([12, 9, 5], seed=bits)
     qnet = quantize_net(net, q)
     for x in (rng.uniform(-2, 2, size=12), rng.uniform(-2, 2, size=(7, 12))):
         a = quantize(x, q)

@@ -8,7 +8,7 @@ import pytest
 
 import fxlink as fx
 from fxlink import autoencoder as ae
-from fxlink.neuralnet import n_params
+from fxlink.neuralnet import DenseLayer, FCNet, n_params
 from fxlink.paramdelivery import (MAGIC, ArtifactError, ChecksumMismatch,
                                   ModelArtifact, UnsupportedVersion,
                                   load_artifact, load_model, quantize_model,
@@ -223,6 +223,12 @@ def test_quantize_saturation_reported():
     assert qm.encoder.layers[0].w.values[0, 0] == 7.999755859375
 
 
+def snap(qnet):
+    """The float network of a quantized one's grid values."""
+    return FCNet([DenseLayer(l.w.values, l.b.values, l.activation)
+                  for l in qnet.layers])
+
+
 def grid_report(model, tmp_path):
     """verify() of the model saved with Q16 as its declared format."""
     path = tmp_path / "m.fxl"
@@ -233,7 +239,7 @@ def grid_report(model, tmp_path):
 def test_quantize_idempotent(tmp_path):
     model = fresh_model(10)
     qm = quantize_model(model, Q16)
-    back = ae.AutoencoderModel(qm.encoder.to_float(), qm.decoder.to_float(),
+    back = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
                                model.ofdm, model.rate)
     qm2 = quantize_model(back, Q16)
     assert qm2.saturated_params == 0
@@ -284,9 +290,8 @@ def test_verify_fresh_artifact_passes(tmp_path):
 def test_verify_grid_violation_reported(tmp_path):
     model = fresh_model(13)
     qm = quantize_model(model, Q16)
-    snapped = ae.AutoencoderModel(qm.encoder.to_float(),
-                                  qm.decoder.to_float(), model.ofdm,
-                                  model.rate)
+    snapped = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
+                                  model.ofdm, model.rate)
     path = tmp_path / "m.fxl"
     save_model(snapped, path, qformat=Q16)
     good = verify(load_artifact(path))
