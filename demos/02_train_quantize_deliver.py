@@ -2,7 +2,9 @@
 """Train at the learning center, deliver parameters, verify at the endpoint.
 
 Trains a small encoder/decoder pair over an equalized Rayleigh channel,
-writes the weights to a checksummed artifact file, reloads it, and
+writes the weights to a checksummed artifact file, and reloads it at the
+endpoint, where `load_artifact` is the verification: it rejects a file
+whose hashes, header, payload size or values break FORMAT.md.  Then it
 quantizes the parameters at several widths the way an inference device
 would.
 """
@@ -32,9 +34,10 @@ path = workdir / "model.fxl"
 fx.save_model(result.model, path, training={"channel": "rayleigh"})
 print(f"\nwrote {path} ({path.stat().st_size} bytes)")
 
-loaded = fx.load_model(path)
-report = fx.verify(fx.load_artifact(path))
-print(f"verify: dims_ok={report.dims_ok} checksum_ok={report.checksum_ok}")
+artifact = fx.load_artifact(path)     # raises ArtifactError if malformed
+loaded = artifact.to_model()
+print("verified on load: both hashes, header and payload "
+      f"(sha256 {artifact.header['payload_sha256'][:16]}...)")
 
 same = all(np.array_equal(a.params, b.params) for a, b in (
     (result.model.encoder, loaded.encoder),

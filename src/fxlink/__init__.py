@@ -26,6 +26,6 @@ from .ofdmlink import (CHANNEL_KINDS, ChannelRealization, OfdmConfig, add_cp,
                        to_reals)
 from .paramdelivery import (ArtifactError, ChecksumMismatch, ModelArtifact,
                             QuantizedModel, UnsupportedVersion, load_artifact,
-                            load_model, quantize_model, save_model, verify)
+                            load_model, quantize_model, save_model)
 
 __version__ = "0.1.0"

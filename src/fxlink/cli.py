@@ -237,10 +237,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_latency(args) -> int:
     dims = _parse_list(args.dims, int)
-    ofdm_cfg = OfdmConfig(args.n_subcarriers, args.cp_len,
-                          sample_rate=args.sample_rate_mhz * 1e6)
-    est = mx.estimate_latency(dims, args.parallel_macs, args.pipeline_depth,
-                              args.clk_mhz * 1e6, ofdm_cfg)
+    try:                            # every value comes from the arguments
+        ofdm_cfg = OfdmConfig(args.n_subcarriers, args.cp_len,
+                              sample_rate=args.sample_rate_mhz * 1e6)
+        est = mx.estimate_latency(dims, args.parallel_macs,
+                                  args.pipeline_depth, args.clk_mhz * 1e6,
+                                  ofdm_cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     mx.write_latency_csv(out / "latency.csv", est)
     print(f"symbol duration: {est.symbol_duration_us:g} us")

@@ -49,15 +49,10 @@ def relative_rms(ref: np.ndarray, test: np.ndarray) -> float:
 
 
 def evm(ref_symbols: np.ndarray, test_symbols: np.ndarray) -> float:
-    """Error vector magnitude in percent over complex symbols."""
-    ref = np.asarray(ref_symbols)
-    test = np.asarray(test_symbols)
-    if ref.shape != test.shape or ref.size == 0:
-        raise ValueError(f"shape mismatch {ref.shape} vs {test.shape}")
-    p_ref = np.mean(np.abs(ref) ** 2)
-    if p_ref == 0.0:
-        raise ValueError("reference signal is identically zero")
-    return 100.0 * float(np.sqrt(np.mean(np.abs(test - ref) ** 2) / p_ref))
+    """Error vector magnitude in percent over complex symbols: the
+    relative RMS of their interleaved re/im reals."""
+    return relative_rms(ofdm.to_reals(ref_symbols),
+                        ofdm.to_reals(test_symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +135,14 @@ _MC_CHUNK_BLOCKS = 512
 _MC_TARGET_ERRORS = 100
 
 
+def check_ber_budget(min_bits: int, max_bits: int) -> None:
+    """The Monte-Carlo budget rule: at least 10,000 bits per point, and a
+    cap no lower than that."""
+    if not 10_000 <= min_bits <= max_bits:
+        raise ValueError(f"need 10,000 <= min_bits <= max_bits per point, "
+                         f"got {min_bits} and {max_bits}")
+
+
 def ber_sweep(model, engine: str, channel: str, snr_list,
               min_bits: int = 100_000, max_bits: int = 2_000_000,
               rng: np.random.Generator | None = None, seed: int = 0,
@@ -152,8 +155,7 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     no networks.  equalize selects ZF before the decoder, or before the
     4-QAM decisions of the uncoded chain.
     """
-    if min_bits < 10_000:
-        raise ValueError("min_bits must be at least 10,000 per point")
+    check_ber_budget(min_bits, max_bits)
     if rng is None:
         rng = np.random.default_rng(seed)
     uncoded = model is None
@@ -247,8 +249,8 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
     if parallel_macs < 1 or pipeline_depth < 0 or f_clk <= 0:
         raise ValueError("need parallel_macs >= 1, pipeline_depth >= 0, "
                          "f_clk > 0")
-    if len(dims) < 2:
-        raise ValueError("dims needs at least one layer")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError("dims needs at least one layer and no dim below 1")
     n_samples = ofdm_cfg.n_subcarriers + ofdm_cfg.cp_len
     budget_us = ofdm_cfg.symbol_duration * 1e6
     layers = []
@@ -304,6 +306,9 @@ class SweepSpec:
         if self.channel not in ofdm.CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
         ae.encoded_dim(self.ofdm, self.rate)        # checks the rate
+        check_ber_budget(self.ber_min_bits, self.ber_max_bits)
+        if self.rms_samples < 1:
+            raise ValueError("rms_samples must be at least 1")
         # every point, before run_sweep trains for any of them
         for value in self.values:
             hidden, layers, _ = self._point(value)

@@ -97,6 +97,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if min(self.batch_size, self.epochs, self.batches_per_epoch) < 1:
+            raise ValueError("batch_size, epochs and batches_per_epoch must "
+                             "be at least 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         lo, hi = self.snr_range_db

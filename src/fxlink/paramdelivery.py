@@ -1,10 +1,10 @@
 """Parameter delivery: the payload shipped from training to endpoints.
 
 A model artifact is a single file carrying everything an inference device
-needs: architecture, link configuration, an optional target Q-format, and
-the float64 weights.  Weights are stored losslessly so one artifact serves
-every bit-width study; quantization happens on load.  See FORMAT.md for
-the byte-level layout.
+needs: architecture, link configuration, an optional declared Q-format
+grid, and the float64 weights.  Weights are stored losslessly so one
+artifact serves every bit-width study; quantization happens on load.  See
+FORMAT.md for the byte-level layout.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class ModelArtifact:
     payload: np.ndarray  # flat float64, little-endian on disk
 
     @classmethod
-    def from_model(cls, model: AutoencoderModel, training: dict | None = None,
-                   qformat: QFormat | None = None) -> "ModelArtifact":
+    def from_model(cls, model: AutoencoderModel,
+                   training: dict | None = None) -> "ModelArtifact":
         header = {
             "version": VERSION,
             "encoder_dims": model.encoder.dims,
@@ -60,19 +60,11 @@ class ModelArtifact:
             "cp_len": model.ofdm.cp_len,
             "modulation": model.ofdm.modulation,
             "sample_rate": model.ofdm.sample_rate,
-            "qformat": None if qformat is None else
-                       {"total_bits": qformat.total_bits,
-                        "int_bits": qformat.int_bits},
+            "qformat": None,
             "training": training or {},
         }
         return cls(header, np.concatenate([model.encoder.params,
                                            model.decoder.params]))
-
-    @property
-    def qformat(self) -> QFormat | None:
-        """The declared target format, None if none; ArtifactError if the
-        header's qformat is malformed (load_artifact rejects those)."""
-        return _header_qformat(self.header)
 
     def to_model(self) -> AutoencoderModel:
         """The codec the artifact describes; ArtifactError if it is none."""
@@ -138,20 +130,16 @@ def _header_qformat(h: dict) -> QFormat | None:
 
 
 def _header_problems(h: dict, n_bytes: int) -> list[str]:
-    """What keeps header h from describing a payload of n_bytes: a
-    malformed qformat, dims that are not two or more positive ints with one
-    activation per weight layer, a broken chain, the wrong payload size."""
-    bad = []
-    try:
-        _header_qformat(h)
-    except ArtifactError as exc:
-        bad.append(str(exc))
+    """What keeps header h from describing a payload of n_bytes: dims
+    that are not two or more positive ints with one activation per weight
+    layer, a broken chain, the wrong payload size."""
     for side in ("encoder", "decoder"):
         dims, acts = h.get(f"{side}_dims"), h.get(f"{side}_activations")
         if not (type(dims) is list and len(dims) >= 2
                 and all(type(d) is int and d > 0 for d in dims)
                 and type(acts) is list and len(acts) == len(dims) - 1):
-            return bad + [f"{side}_dims/activations missing or mistyped"]
+            return [f"{side}_dims/activations missing or mistyped"]
+    bad = []
     enc, dec = h["encoder_dims"], h["decoder_dims"]
     if enc[-1] != dec[0]:
         bad.append("encoder output dim != decoder input dim")
@@ -162,10 +150,9 @@ def _header_problems(h: dict, n_bytes: int) -> list[str]:
 
 
 def save_model(model: AutoencoderModel, path,
-               training: dict | None = None,
-               qformat: QFormat | None = None) -> ModelArtifact:
+               training: dict | None = None) -> ModelArtifact:
     """Serialize a model; returns the artifact that was written."""
-    artifact = ModelArtifact.from_model(model, training, qformat)
+    artifact = ModelArtifact.from_model(model, training)
     payload_bytes = artifact.payload.astype("<f8").tobytes()
     artifact.header["payload_sha256"] = hashlib.sha256(
         payload_bytes).hexdigest()
@@ -175,7 +162,9 @@ def save_model(model: AutoencoderModel, path,
 
 
 def load_artifact(path) -> ModelArtifact:
-    """Read and fully validate an artifact file."""
+    """Read an artifact file and check its framing, both hashes, header
+    and payload size, that the payload is finite, and that it lies on the
+    grid of a declared qformat.  to_model checks that it builds a codec."""
     blob = Path(path).read_bytes()
     if not blob.startswith(MAGIC):
         raise ArtifactError("bad magic; not a model artifact")
@@ -196,10 +185,16 @@ def load_artifact(path) -> ModelArtifact:
     if header.get("payload_sha256") != hashlib.sha256(
             payload_bytes).hexdigest():
         raise ChecksumMismatch("payload hash mismatch")
+    q = _header_qformat(header)
     problems = _header_problems(header, len(payload_bytes))
     if problems:
         raise ArtifactError("; ".join(problems))
     payload = np.frombuffer(payload_bytes, dtype="<f8").astype(np.float64)
+    if not np.isfinite(payload).all():
+        raise ArtifactError("payload holds NaN or inf")
+    if q is not None and (n_off := _n_off_grid(payload, q)):
+        raise ArtifactError(f"payload values off the declared {q} grid: "
+                            f"{n_off}")
     return ModelArtifact(header, payload)
 
 
@@ -227,37 +222,3 @@ def quantize_model(model: AutoencoderModel, q: QFormat) -> QuantizedModel:
     return QuantizedModel(quantize_net(model.encoder, q),
                           quantize_net(model.decoder, q),
                           q, model.ofdm, model.rate)
-
-
-@dataclass
-class VerifyReport:
-    dims_ok: bool            # header: qformat and dims chains well-formed
-    checksum_ok: bool
-    grid_ok: bool | None     # None when the artifact declares no Q-format
-    problems: list[str]
-
-    @property
-    def all_ok(self) -> bool:
-        return self.dims_ok and self.checksum_ok and self.grid_ok is not False
-
-
-def verify(artifact: ModelArtifact) -> VerifyReport:
-    """Integrity report: header and dims chain, payload hash, grid."""
-    h = artifact.header
-    problems = _header_problems(h, artifact.payload.nbytes)
-    dims_ok = not problems
-
-    payload_bytes = artifact.payload.astype("<f8").tobytes()
-    checksum_ok = h.get("payload_sha256") == hashlib.sha256(
-        payload_bytes).hexdigest()
-    if not checksum_ok:
-        problems.append("payload hash mismatch")
-
-    grid_ok = None
-    q = artifact.qformat if dims_ok else None
-    if q is not None:
-        n_off = _n_off_grid(artifact.payload, q)
-        grid_ok = n_off == 0
-        if not grid_ok:
-            problems.append(f"{n_off} parameters off the {q} grid")
-    return VerifyReport(dims_ok, checksum_ok, grid_ok, problems)

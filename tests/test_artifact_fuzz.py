@@ -1,16 +1,15 @@
-"""Property test: a mutated, re-sealed artifact raises only ArtifactError,
-and verify reports on any artifact that loads without raising."""
+"""Property test: a mutated, re-sealed artifact raises only ArtifactError."""
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fxlink.paramdelivery import (ArtifactError, load_artifact,  # noqa: E402
-                                  verify)
+from fxlink.paramdelivery import ArtifactError, load_artifact  # noqa: E402
 from test_paramdelivery import (BASE_HEADER, BASE_PAYLOAD,  # noqa: E402
                                 head_text, seal)
 
@@ -33,7 +32,7 @@ def mutated_artifacts(draw):
     header = json.loads(json.dumps(BASE_HEADER))
     payload = BASE_PAYLOAD
     kind = draw(st.sampled_from(["truncate", "flip", "drop", "retype",
-                                 "dims", "qformat"]))
+                                 "dims", "qformat", "nonfinite"]))
     if kind == "drop":
         del header[draw(st.sampled_from(sorted(header)))]
     elif kind == "retype":
@@ -51,6 +50,11 @@ def mutated_artifacts(draw):
         header["qformat"] = draw(json_values | st.dictionaries(
             st.sampled_from(["total_bits", "int_bits", "frac_bits"]),
             fields, max_size=3))
+    elif kind == "nonfinite":
+        at = 8 * draw(st.integers(0, len(payload) // 8 - 1))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        payload = (payload[:at] + np.array(value, dtype="<f8").tobytes()
+                   + payload[at + 8:])
     head = head_text(header)
     in_head = draw(st.booleans())
     if kind == "truncate" and in_head:
@@ -74,7 +78,6 @@ def test_mutated_artifact_raises_only_artifact_error(tmp_path, blob):
         art = load_artifact(path)
     except ArtifactError:
         return
-    verify(art)     # reports, and raises nothing, on what loads
     try:
         art.to_model()
     except ArtifactError:

@@ -106,6 +106,9 @@ BAD_VALUES = {
     "rate": ("train", "[model]\nrate = 2"),
     "layers": ("train", "[model]\nlayers = 1"),
     "hidden_nodes": ("train", "[model]\nhidden_nodes = 0"),
+    "epochs": ("train", "[train]\nepochs = 0"),
+    "batches_per_epoch": ("train", "[train]\nbatches_per_epoch = 0"),
+    "batch_size": ("train", "[train]\nbatch_size = 0"),
     "axis": ("sweep", "[sweep]\naxis = depth"),
     "values": ("sweep", "[sweep]\nvalues = 8,x"),
     "values_not_int": ("sweep", "[sweep]\nvalues = 8.5"),
@@ -116,6 +119,9 @@ BAD_VALUES = {
     "bits": ("sweep", "[quantize]\nbits = 40"),
     "sweep_rate": ("sweep", "[model]\nrate = 2"),
     "sweep_rate_fraction": ("sweep", "[model]\nrate = 0.3"),
+    "ber_max_bits": ("sweep", "[sweep]\nber_max_bits = 0"),
+    "ber_min_bits": ("sweep", "[sweep]\nber_min_bits = 100"),
+    "rms_samples": ("sweep", "[sweep]\nrms_samples = 0"),
 }
 
 
@@ -236,10 +242,11 @@ def test_latency_csv_and_pass_fail(tmp_path, capsys):
 
 
 def test_latency_non_integer_dims_exits_1(tmp_path, capsys):
-    assert main(["latency", "--dims", "32.7,512,32", "--out",
-                 str(tmp_path)]) == 1
-    assert "fxlink: config error:" in capsys.readouterr().err
-    assert not (tmp_path / "latency.csv").exists()
+    for bad in (["--dims", "32.7,512,32"], ["--dims", "32,0,32"],
+                ["--parallel-macs", "0"], ["--n-subcarriers", "3"]):
+        assert main(["latency", *bad, "--out", str(tmp_path)]) == 1, bad
+        assert "fxlink: config error:" in capsys.readouterr().err
+        assert not (tmp_path / "latency.csv").exists()
 
 
 def test_fxlink_out_env_override(tiny_config, tmp_path, monkeypatch):

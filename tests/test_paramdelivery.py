@@ -12,7 +12,7 @@ from fxlink.neuralnet import DenseLayer, FCNet, n_params
 from fxlink.paramdelivery import (MAGIC, ArtifactError, ChecksumMismatch,
                                   ModelArtifact, UnsupportedVersion,
                                   load_artifact, load_model, quantize_model,
-                                  save_model, verify)
+                                  save_model)
 
 Q16 = fx.make_qformat(16, 3)
 
@@ -40,6 +40,9 @@ def seal(head: bytes, payload: bytes) -> bytes:
         + b"\n" + payload
     return body + hashlib.sha256(body).digest()
 
+
+NAN = np.array(np.nan, dtype="<f8").tobytes()
+INF = np.array(np.inf, dtype="<f8").tobytes()
 
 # Each case maps (header, payload) to the (header lines, payload) of a
 # malformed artifact whose hashes are then re-sealed.
@@ -77,6 +80,12 @@ MALFORMED = {
         head_text({**h, "qformat": {"total_bits": 16.0, "int_bits": 3}}), p),
     "qformat_99_bits": lambda h, p: (
         head_text({**h, "qformat": {"total_bits": 99, "int_bits": 3}}), p),
+    "empty_payload": lambda h, p: (head_text(h), b""),
+    "nan_payload_value": lambda h, p: (head_text(h), p[:8] + NAN + p[16:]),
+    "inf_payload_value": lambda h, p: (head_text(h), p[:-8] + INF),
+    # He weights are not multiples of Q16.3's step
+    "payload_off_declared_grid": lambda h, p: (
+        head_text({**h, "qformat": {"total_bits": 16, "int_bits": 3}}), p),
 }
 
 
@@ -84,6 +93,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     model = fresh_model(3)
     path = tmp_path / "m.fxl"
     save_model(model, path, training={"note": "unit"})
+    assert load_artifact(path).header["qformat"] is None
     loaded = load_model(path)
     for la, lb in zip(model.encoder.layers + model.decoder.layers,
                       loaded.encoder.layers + loaded.decoder.layers):
@@ -229,11 +239,12 @@ def snap(qnet):
                   for l in qnet.layers])
 
 
-def grid_report(model, tmp_path):
-    """verify() of the model saved with Q16 as its declared format."""
-    path = tmp_path / "m.fxl"
-    save_model(model, path, qformat=Q16)
-    return verify(load_artifact(path))
+def save_on_q16_grid(model, path):
+    """Write model as an artifact whose header declares Q16's grid."""
+    art = ModelArtifact.from_model(model)
+    head = head_text({**art.header, "qformat": {"total_bits": 16,
+                                                "int_bits": 3}})
+    path.write_bytes(seal(head, art.payload.astype("<f8").tobytes()))
 
 
 def test_quantize_idempotent(tmp_path):
@@ -246,10 +257,13 @@ def test_quantize_idempotent(tmp_path):
     for a, b in zip(qm.encoder.layers, qm2.encoder.layers):
         assert np.array_equal(a.w.raw, b.w.raw)
         assert np.array_equal(a.b.raw, b.b.raw)
-    assert grid_report(back, tmp_path).grid_ok is True
+    path = tmp_path / "m.fxl"
+    save_on_q16_grid(back, path)
+    load_artifact(path)
     back.encoder.layers[0].w[0, 0] = 16.0   # a multiple of the step, too big
-    assert grid_report(back, tmp_path).problems == [
-        "1 parameters off the Q16.3 grid"]
+    save_on_q16_grid(back, path)
+    with pytest.raises(ArtifactError, match="declared Q16.3 grid: 1$"):
+        load_artifact(path)
 
 
 def test_no_saturation_when_params_in_range():
@@ -274,62 +288,21 @@ def test_quantize_32bit_forward_close_to_float(awgn_model):
 
 
 # ---------------------------------------------------------------------------
-# verify
+# declared grid
 # ---------------------------------------------------------------------------
 
-def test_verify_fresh_artifact_passes(tmp_path):
-    model = fresh_model(12)
-    path = tmp_path / "m.fxl"
-    save_model(model, path, qformat=None)
-    report = verify(load_artifact(path))
-    assert report.all_ok
-    assert report.grid_ok is None
-    assert report.problems == []
-
-
-def test_verify_grid_violation_reported(tmp_path):
+def test_load_rejects_values_off_declared_grid(tmp_path):
     model = fresh_model(13)
     qm = quantize_model(model, Q16)
     snapped = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
                                   model.ofdm, model.rate)
     path = tmp_path / "m.fxl"
-    save_model(snapped, path, qformat=Q16)
-    good = verify(load_artifact(path))
-    assert good.all_ok and good.grid_ok is True
+    save_on_q16_grid(snapped, path)
+    assert load_artifact(path).header["qformat"] == {"total_bits": 16,
+                                                     "int_bits": 3}
 
-    art = load_artifact(path)
-    art.payload[7] += Q16.step / 3  # push one weight off the grid
-    art.payload[8] = -16.0          # on the step, below the range
-    bad = verify(art)
-    assert bad.grid_ok is False
-    assert any("2 parameters off" in p for p in bad.problems)
-
-
-def test_verify_empty_payload_fails_dims():
-    model = fresh_model(14)
-    art = ModelArtifact.from_model(model)
-    art.header["payload_sha256"] = "0" * 64
-    art.payload = np.empty(0)
-    report = verify(art)
-    assert not report.dims_ok
-    assert not report.all_ok
-
-
-def test_verify_reports_malformed_qformat():
-    art = ModelArtifact.from_model(fresh_model(18))
-    for bad in ("abc", {"total_bits": 16},
-                {"total_bits": 99, "int_bits": 3}):
-        art.header["qformat"] = bad
-        report = verify(art)
-        assert not report.dims_ok and report.grid_ok is None
-        assert any(p.startswith("qformat") for p in report.problems)
-        with pytest.raises(ArtifactError):
-            art.qformat
-
-
-def test_verify_reports_broken_dims_chain():
-    art = ModelArtifact.from_model(fresh_model(17))
-    art.header["decoder_dims"] = [16] + art.header["decoder_dims"][1:]
-    report = verify(art)
-    assert not report.dims_ok
-    assert "encoder output dim != decoder input dim" in report.problems
+    snapped.encoder.params[7] += Q16.step / 3   # off the step
+    snapped.encoder.params[8] = -16.0           # on the step, below range
+    save_on_q16_grid(snapped, path)
+    with pytest.raises(ArtifactError, match="declared Q16.3 grid: 2$"):
+        load_artifact(path)
