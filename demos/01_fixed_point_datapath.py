@@ -28,9 +28,11 @@ print("\n" + "=" * 64)
 print("Multiply and accumulate")
 print("=" * 64)
 
-a = fx.quantize(0.1, q16)
-print(f"{a.values} * {a.values} -> {fx.fx_mul(a, a).values} "
-      f"(exact: {a.values * a.values})")
+# a one-element MAC is a single multiply, requantized once
+a = fx.quantize([0.1], q16)
+prod = fx.fx_dot(a, a, fx.quantize(0.0, q16), q16)
+print(f"{a.values[0]} * {a.values[0]} -> {prod.values} "
+      f"(exact: {a.values[0] * a.values[0]})")
 
 # sum of eight 1.0*1.0 products is exactly 8.0 in the wide accumulator;
 # only the final requantization saturates to the format maximum

@@ -51,7 +51,8 @@ for bits in (8, 16, 24):
     qm = fx.quantize_model(loaded, q)
     peak = max(float(np.abs(l.w.values).max())
                for l in qm.encoder.layers + qm.decoder.layers)
-    print(f"{str(q):>8} {qm.saturated_params:>10} {peak:>10.3f}")
+    saturated = qm.encoder.saturated_params + qm.decoder.saturated_params
+    print(f"{str(q):>8} {saturated:>10} {peak:>10.3f}")
 
 print("\nThe artifact stores float64 weights, so one delivery serves every "
       "bit-width study; the endpoint quantizes on load.")

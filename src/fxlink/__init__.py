@@ -11,8 +11,7 @@ from .autoencoder import (AutoencoderModel, SymbolBlock, TrainResult,
                           TrainingDiverged, build_model, calibrate_ranges,
                           end_to_end, train)
 from .fixedpoint import (BitAllocationError, FixedTensor, FormatMismatchError,
-                         QFormat, fx_add, fx_dot, fx_linear, fx_mul,
-                         make_qformat, quantize)
+                         QFormat, fx_dot, fx_linear, make_qformat, quantize)
 from .metrics import (BerCurve, LatencyEstimate, LayerErrorReport, SweepRow,
                       SweepSpec, ber_sweep, estimate_latency, evm,
                       layer_error_report, qpsk_awgn_ber_theory, relative_rms,
@@ -25,7 +24,7 @@ from .ofdmlink import (CHANNEL_KINDS, ChannelRealization, OfdmConfig, add_cp,
                        qam4_demodulate, qam4_modulate, remove_cp, to_complex,
                        to_reals)
 from .paramdelivery import (ArtifactError, ChecksumMismatch, ModelArtifact,
-                            QuantizedModel, UnsupportedVersion, load_artifact,
-                            load_model, quantize_model, save_model)
+                            UnsupportedVersion, load_artifact, load_model,
+                            quantize_model, save_model)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import neuralnet as nn
 from . import ofdmlink as ofdm
-from .neuralnet import FCNet, TrainConfig
+from .neuralnet import FCNet, QuantizedNet, TrainConfig
 from .ofdmlink import OfdmConfig
 
 
@@ -64,8 +64,12 @@ def encoded_dim(ofdm_cfg: OfdmConfig, rate: float) -> int:
 
 @dataclass
 class AutoencoderModel:
-    encoder: FCNet
-    decoder: FCNet
+    """Encoder/decoder pair around the OFDM link: float64 FCNets, or
+    QuantizedNets on one Q-format grid (paramdelivery.quantize_model).
+    fmt and engine say which, and the link runs that forward pass."""
+
+    encoder: FCNet | QuantizedNet
+    decoder: FCNet | QuantizedNet
     ofdm: OfdmConfig
     rate: float = 1.0
 
@@ -77,6 +81,14 @@ class AutoencoderModel:
         if self.decoder.dims[0] != d_enc or self.decoder.dims[-1] != d_in:
             raise ValueError(
                 f"decoder must map {d_enc} -> {d_in}, got {self.decoder.dims}")
+
+    @property
+    def fmt(self):                  # the networks' QFormat; None for float
+        return self.encoder.fmt
+
+    @property
+    def engine(self) -> str:
+        return "float" if self.fmt is None else "fixed"
 
     @property
     def encoded_dim(self) -> int:
@@ -136,13 +148,16 @@ def normalize_power(x: np.ndarray):
 # The link: one forward for training, inference and the layer-error report
 # ---------------------------------------------------------------------------
 
-def _link(model, x0, h, noise, fwd, equalize):
+def _link(model, x0, h, noise, equalize):
     """Encoder -> normalize_power -> y = h*x + noise -> optional ZF ->
     decoder, per subcarrier.
 
-    fwd is nn.forward_float or nn.forward_fixed; noise=None is a noiseless
-    link.  Returns (decoder_out, taps).
+    The networks run nn.forward_float for a float model and
+    nn.forward_fixed for a quantized one; noise=None is a noiseless link.
+    Returns (decoder_out, taps).
     """
+    # looked up on the module per call, so a wrapper installed there sees it
+    fwd = nn.forward_float if model.fmt is None else nn.forward_fixed
     enc_out, enc_layers = fwd(model.encoder, x0)
     encoded, scale = normalize_power(enc_out)
     rx_freq = h * ofdm.to_complex(encoded)
@@ -161,28 +176,22 @@ def _link(model, x0, h, noise, fwd, equalize):
 
 def end_to_end(model, bits: np.ndarray,
                realization: ofdm.ChannelRealization,
-               rng: np.random.Generator, engine: str = "float",
+               rng: np.random.Generator, engine: str | None = None,
                equalize: bool = True):
     """Run the full chain on a batch of bit blocks.
 
-    model is an AutoencoderModel for engine='float', or a quantized model
-    (paramdelivery.QuantizedModel) for engine='fixed'.  With the fixed
-    engine both networks run on the integer datapath while the non-network
-    blocks (normalization, channel, ZF) stay float.
+    The engine follows the model: 'float' for a float codec, 'fixed' for
+    one from paramdelivery.quantize_model, whose networks run on the
+    integer datapath while the non-network blocks (normalization, channel,
+    ZF) stay float.  engine=None takes the model's; any other value must
+    name it, or ValueError is raised.
 
     Returns (decoded_bits, taps); taps holds the tx/rx symbols, the encoded
     block, the decoder input and both networks' per-layer outputs.
     """
-    if engine == "float":
-        if not isinstance(model.encoder, FCNet):
-            raise ValueError("float engine requires a float model")
-        fwd = nn.forward_float
-    elif engine == "fixed":
-        if isinstance(model.encoder, FCNet):
-            raise ValueError("fixed engine requires a quantized model")
-        fwd = nn.forward_fixed
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in (None, model.engine):
+        raise ValueError(f"engine {engine!r} does not run a "
+                         f"{model.engine} model")
 
     bits = np.asarray(bits)
     single = bits.ndim == 1
@@ -200,7 +209,7 @@ def end_to_end(model, bits: np.ndarray,
     # rng stream of the chain
     noise = ofdm.draw_noise(bits.shape[:-1] + (n_tx,),
                             realization.noise_variance, rng)
-    dec_out, taps = _link(model, ofdm.to_reals(tx_symbols), h, noise, fwd,
+    dec_out, taps = _link(model, ofdm.to_reals(tx_symbols), h, noise,
                           equalize)
     rx_symbols = ofdm.to_complex(dec_out)
     decoded = ofdm.qam4_demodulate(rx_symbols)
@@ -221,7 +230,7 @@ def chain_loss_and_grads(model, x0, h, noise, equalize=True):
     this matches finite differences of the loss at fixed h and noise.
     Returns (loss, enc_grads, dec_grads), each laid out like its params.
     """
-    r_hat, taps = _link(model, x0, h, noise, nn.forward_float, equalize)
+    r_hat, taps = _link(model, x0, h, noise, equalize)
     diff = r_hat - x0
     batch_loss = float(np.mean(diff ** 2))
     dec_grads, g_dec_in = nn._backward_from(

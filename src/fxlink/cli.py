@@ -162,19 +162,20 @@ def cmd_quantize(args) -> int:
     q = make_qformat(args.bits, args.int_bits)
     artifact = load_artifact(args.artifact)
     qm = quantize_model(artifact.to_model(), q)
+    saturated = qm.encoder.saturated_params + qm.decoder.saturated_params
     descriptor = {
         "artifact": str(args.artifact),
         # load_artifact checked it against the payload
         "payload_sha256": artifact.header["payload_sha256"],
         "qformat": {"total_bits": q.total_bits, "int_bits": q.int_bits,
                     "frac_bits": q.frac_bits},
-        "saturated_params": qm.saturated_params,
+        "saturated_params": saturated,
     }
     out_path = Path(args.out) if args.out else Path(
         str(args.artifact) + f".q{q.total_bits}i{q.int_bits}.json")
     out_path.write_text(json.dumps(descriptor, indent=2, sort_keys=True)
                         + "\n")
-    print(f"{q}: saturated_params={qm.saturated_params}")
+    print(f"{q}: saturated_params={saturated}")
     print(f"wrote {out_path}")
     return 0
 
@@ -185,6 +186,12 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--snr needs at least one value")
     if args.channel not in CHANNEL_KINDS:
         raise ConfigError(f"unknown channel kind {args.channel!r}")
+    try:
+        mx.check_ber_budget(args.bits_min, args.bits_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.rms_samples < 1:
+        raise ConfigError("--rms-samples must be at least 1")
     out = _outdir(args)
     q = make_qformat(args.bits, args.int_bits)
     model = load_artifact(args.artifact).to_model()
@@ -207,13 +214,13 @@ def cmd_simulate(args) -> int:
                         snr_list[-1], rng)
     _, taps_f = ae.end_to_end(model, bits, chan,
                               np.random.default_rng(args.seed),
-                              engine="float", equalize=equalize)
+                              equalize=equalize)
     evm_tx = mx.evm(taps_f["tx_symbols"], taps_f["rx_symbols"])
     print(f"evm_vs_tx_pct(float @ {snr_list[-1]:g} dB): {evm_tx:.4f}")
     if args.engine == "fixed":
         _, taps_q = ae.end_to_end(qm, bits, chan,
                                   np.random.default_rng(args.seed),
-                                  engine="fixed", equalize=equalize)
+                                  equalize=equalize)
         evm_impl = mx.evm(taps_f["rx_symbols"], taps_q["rx_symbols"])
         print(f"evm_vs_float_pct({q}): {evm_impl:.4f}")
     for p in curve.points:

@@ -28,7 +28,7 @@ loaded.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,29 +156,6 @@ def _round_half_even(hi, lo, k: int):
     return hi + ((lo + ((hi & 1) + ((1 << (k - 1)) - 1))) >> k)
 
 
-def _saturated(raw, q: QFormat) -> FixedTensor:
-    return FixedTensor(np.asarray(np.clip(raw, q.raw_min, q.raw_max)), q)
-
-
-def fx_add(a: FixedTensor, b: FixedTensor) -> FixedTensor:
-    """Elementwise saturating datapath adder; operands share a format."""
-    _check_fmt(a, b)
-    return _saturated(np.asarray(a.raw, np.int64) + b.raw, a.fmt)
-
-
-def fx_mul(a: FixedTensor, b: FixedTensor) -> FixedTensor:
-    """Elementwise multiply: exact double-width product, one requantize,
-    saturate."""
-    _check_fmt(a, b)
-    # 2*frac_bits of fraction, in int64 whatever the raws' dtype: a Q32
-    # product is within 2**62
-    prod = np.asarray(a.raw, np.int64) * b.raw
-    f = a.fmt.frac_bits
-    # floor shift: the remainder is non-negative whatever the sign
-    return _saturated(_round_half_even(prod >> f, prod & ((1 << f) - 1), f),
-                      a.fmt)
-
-
 def fx_dot(a: FixedTensor, w: FixedTensor, bias: FixedTensor,
            q: QFormat) -> FixedTensor:
     """One hardware MAC pipeline: full-width accumulate, requantize once.
@@ -199,13 +176,13 @@ def fx_linear(x: FixedTensor, w: FixedTensor, b: FixedTensor,
     """Batched MAC array: rows of x against rows of w, plus bias.
 
     x: [n, in] (or [in]); w: [out, in]; b: [out].  Loads the operands into
-    a streamed MacArray and runs one MAC pass on x; MacArray describes the
+    a MacArray and runs one MAC pass on x; MacArray describes the
     arithmetic.  A network layer loads its MacArray once, when it is
     quantized, and calls it on every input instead.
     """
     if w.fmt != q:
         raise FormatMismatchError("all operands must be in the target format")
-    return MacArray(w, b, stream=True)(x)
+    return MacArray(w, b)(x)
 
 
 def _fits(row_l1, bias_acc, t: int) -> bool:
@@ -272,12 +249,6 @@ class MacArray:
       each shift keeps it inside int64 and saturates it the same way.
       The loaded limbs take one float64 copy of w each; at worst (t-1)/k.
 
-    stream=True makes a one-shot array, as fx_linear does: in the limb
-    regime it builds each limb from w inside the call, uses it and drops
-    it, so one limb is alive at a time instead of all of them.  A network
-    layer keeps its limbs loaded: rebuilding them costs more than their
-    GEMMs at small batches.
-
     Raises ValueError when no limb of k >= 1 bits exists, that is for
     n_in > 2**(52-t) (2**20 at 32 bits), whatever the weights.
     """
@@ -285,21 +256,19 @@ class MacArray:
     w: FixedTensor
     b: FixedTensor
     activation: str = "linear"
-    stream: InitVar[bool] = False
     # (lo, raw_max) in the accumulator's dtype, which ndarray.clip reads
     # fastest
     bounds: tuple = field(init=False)
     # one-GEMM regime: w.T in float64 and b * 2**f; limbs is empty
     wt: np.ndarray | None = field(init=False, repr=False)
-    # limb regime: (s, float64 limb.T) from the top limb down, or (s, None)
-    # when streamed; b as int64 (the accumulator's high word) and the top
-    # word's clamp cap
+    # limb regime: (s, float64 limb.T) from the top limb down; b as int64
+    # (the accumulator's high word) and the top word's clamp cap
     limbs: tuple = field(init=False, repr=False)
     bias: np.ndarray = field(init=False, repr=False)
     k: int = field(init=False)
     cap: np.int64 = field(init=False)
 
-    def __post_init__(self, stream: bool):
+    def __post_init__(self):
         w, b, q = self.w, self.b, self.w.fmt
         _check_fmt(b, w)
         if w.raw.ndim != 2:
@@ -330,7 +299,7 @@ class MacArray:
             cap = np.int64(1 << (n_bits + t + 1))
             top = next(s for s in range(0, t - 1, k)
                        if _fits(np.abs(w_raw >> s).sum(axis=1), 0, t))
-            limbs = tuple((s, None if stream else _limb(w_raw, s, s == top, k))
+            limbs = tuple((s, _limb(w_raw, s, s == top, k))
                           for s in range(top, -1, -k))
         lo = 0 if self.activation == "relu" else q.raw_min
         for name, value in (("wt", wt), ("limbs", limbs), ("bias", bias),
@@ -361,11 +330,8 @@ class MacArray:
         """The limb regime up to the clamp; returns rounded int64 raws."""
         f, k, cap = self.w.fmt.frac_bits, self.k, self.cap
         hi, lo, top = self.bias, 0, None
-        for i, (s, limb) in enumerate(self.limbs):
-            if limb is None:                # streamed: build, use, drop
-                limb = _limb(self.w.raw, s, i == 0, k)
+        for s, limb in self.limbs:
             p = (xf @ limb).astype(np.int64)
-            del limb
             if s >= f:
                 top = p if top is None else \
                     (top.clip(-cap, cap, out=top) << k) + p

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autoencoder as ae
-from . import neuralnet as nn
 from . import ofdmlink as ofdm
 from .autoencoder import AutoencoderModel
 from .fixedpoint import QFormat, make_qformat
 from .neuralnet import TrainConfig
 from .ofdmlink import OfdmConfig
-from .paramdelivery import QuantizedModel, quantize_model
+from .paramdelivery import quantize_model
 
 CSV_SCHEMAS = {
     "layer_error.csv": ["model_id", "bit_width", "layer_idx", "rel_rms_pct",
@@ -80,33 +79,35 @@ def model_id(model) -> str:
     """Stack dims and rate, plus the Q-format of a quantized model."""
     mid = "fc" + "-".join(str(d) for d in stack_dims(model)) \
         + f"_r{model.rate:g}"
-    if isinstance(model, QuantizedModel):
+    if model.fmt is not None:
         mid += f"_{model.fmt}"
     return mid
 
 
 def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
                        rng: np.random.Generator,
-                       qmodel: QuantizedModel | None = None
+                       qmodel: AutoencoderModel | None = None
                        ) -> LayerErrorReport:
     """Float vs fixed per-layer relative RMS on shared random blocks.
 
-    The same modulated blocks run through the float codec and the fixed
-    one back to back on a noiseless unit-gain link, so the decoder sees the
-    normalized encoder output in both cases; each layer tap is compared.
+    model is the float codec and qmodel its quantization at q
+    (quantize_model(model, q) when None).  The same modulated blocks run
+    through both back to back on a noiseless unit-gain link, each on its
+    own engine, so the decoder sees the normalized encoder output in both
+    cases; each layer tap is compared.
     """
     if qmodel is None:
         qmodel = quantize_model(model, q)
     x0 = ae.random_block(n_samples, model.ofdm, rng).reals
 
-    def layer_taps(m, fwd):
-        _, taps = ae._link(m, x0, 1.0, None, fwd, equalize=False)
+    def layer_taps(m):
+        _, taps = ae._link(m, x0, 1.0, None, equalize=False)
         return taps["encoder_layers"] + taps["decoder_layers"]
 
     # only the float layer list stays alive during the fixed pass
-    f_layers = layer_taps(model, nn.forward_float)
+    f_layers = layer_taps(model)
     errors = [relative_rms(f, qt.values) for f, qt in
-              zip(f_layers, layer_taps(qmodel, nn.forward_fixed))]
+              zip(f_layers, layer_taps(qmodel))]
     return LayerErrorReport(errors, q.total_bits, q.int_bits,
                             model_id(model), n_samples)
 
@@ -376,13 +377,10 @@ def run_sweep(spec: SweepSpec,
                 report = layer_error_report(
                     model, q, spec.rms_samples,
                     np.random.default_rng(rng.integers(2 ** 63)), qmodel)
-                if spec.axis == "bit_width":
-                    ber_model, engine = qmodel, "fixed"
-                else:
-                    ber_model, engine = model, "float"
+                ber_model = qmodel if spec.axis == "bit_width" else model
                 curve = ber_sweep(
-                    ber_model, engine, spec.channel, [spec.ref_snr_db],
-                    spec.ber_min_bits, spec.ber_max_bits,
+                    ber_model, ber_model.engine, spec.channel,
+                    [spec.ref_snr_db], spec.ber_min_bits, spec.ber_max_bits,
                     np.random.default_rng(rng.integers(2 ** 63)),
                     equalize=spec.equalize)
                 row = SweepRow(spec.axis, value, seed, report.final_layer,

@@ -64,6 +64,8 @@ class FCNet:
     """Dense stack; each layer's w and b are views into one flat float64
     vector, params.  FCNet(layers) copies the arrays into a new one."""
 
+    fmt = None                      # float64: on no Q-format grid
+
     def __init__(self, layers: list[DenseLayer]):
         dims = [layers[0].in_dim] + [l.out_dim for l in layers]
         self.params = np.empty(n_params(dims))

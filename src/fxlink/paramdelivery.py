@@ -18,8 +18,8 @@ import numpy as np
 
 from .autoencoder import AutoencoderModel
 from .fixedpoint import BitAllocationError, QFormat, make_qformat
-from .neuralnet import (FCNet, DenseLayer, QuantizedNet, layer_views,
-                        n_params, quantize_net)
+from .neuralnet import (FCNet, DenseLayer, layer_views, n_params,
+                        quantize_net)
 from .ofdmlink import OfdmConfig
 
 MAGIC = b"FXLINK1\n"
@@ -202,23 +202,9 @@ def load_model(path) -> AutoencoderModel:
     return load_artifact(path).to_model()
 
 
-@dataclass
-class QuantizedModel:
-    """Encoder/decoder with every parameter on the Q-format grid."""
-
-    encoder: QuantizedNet
-    decoder: QuantizedNet
-    fmt: QFormat
-    ofdm: OfdmConfig
-    rate: float
-
-    @property
-    def saturated_params(self) -> int:
-        return self.encoder.saturated_params + self.decoder.saturated_params
-
-
-def quantize_model(model: AutoencoderModel, q: QFormat) -> QuantizedModel:
-    """Snap all weights/biases onto q's grid; saturation is counted, not fatal."""
-    return QuantizedModel(quantize_net(model.encoder, q),
-                          quantize_net(model.decoder, q),
-                          q, model.ofdm, model.rate)
+def quantize_model(model: AutoencoderModel, q: QFormat) -> AutoencoderModel:
+    """The codec with every weight and bias snapped onto q's grid: two
+    QuantizedNets, each counting its saturated parameters (not fatal)."""
+    return AutoencoderModel(quantize_net(model.encoder, q),
+                            quantize_net(model.decoder, q),
+                            model.ofdm, model.rate)

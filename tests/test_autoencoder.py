@@ -13,7 +13,7 @@ def noiseless_link(model, x):
     """The float link over unit gains, without noise or ZF: decoder output
     and taps."""
     h = np.ones(model.n_tx_subcarriers, dtype=complex)
-    return ae._link(model, x, h, None, nn.forward_float, equalize=False)
+    return ae._link(model, x, h, None, equalize=False)
 
 
 def test_encoded_length_follows_rate(ofdm16):
@@ -196,13 +196,27 @@ def test_end_to_end_fixed_taps_are_fixed_tensors(awgn_model, ofdm16):
 
 def test_end_to_end_engine_model_mismatch(awgn_model):
     rng = np.random.default_rng(14)
-    bits = rng.integers(0, 2, size=32)
-    chan = fx.ChannelRealization(np.ones(16, dtype=complex), 30.0)
+    bits = rng.integers(0, 2, size=(4, 32))
+    chan = fx.draw_channel("rayleigh", (4, 16), 20.0, rng)
+    qm = fx.quantize_model(awgn_model, fx.make_qformat(16, 3))
+    # engine=None runs the model's own engine: same bits and taps as naming it
+    for model, engine in ((awgn_model, "float"), (qm, "fixed")):
+        named, t_named = ae.end_to_end(model, bits, chan,
+                                       np.random.default_rng(7), engine)
+        own, t_own = ae.end_to_end(model, bits, chan,
+                                   np.random.default_rng(7))
+        assert np.array_equal(named, own)
+        assert np.array_equal(t_named["rx_symbols"], t_own["rx_symbols"])
+        for side in ("encoder_layers", "decoder_layers"):
+            for a, b in zip(t_named[side], t_own[side], strict=True):
+                assert np.array_equal(getattr(a, "raw", a),
+                                      getattr(b, "raw", b))
     with pytest.raises(ValueError):
         ae.end_to_end(awgn_model, bits, chan, rng, engine="fixed")
-    qm = fx.quantize_model(awgn_model, fx.make_qformat(16, 3))
     with pytest.raises(ValueError):
         ae.end_to_end(qm, bits, chan, rng, engine="float")
+    with pytest.raises(ValueError):
+        ae.end_to_end(awgn_model, bits, chan, rng, engine="warp")
 
 
 def test_fixed_32bit_matches_float_decisions(awgn_model, ofdm16):

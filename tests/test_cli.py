@@ -200,6 +200,17 @@ def test_simulate_empty_snr_exits_1(trained_artifact):
     assert main(["simulate", str(trained_artifact), "--snr", ""]) == 1
 
 
+def test_simulate_bad_budget_exits_1(trained_artifact, tmp_path, capsys):
+    # rejected before the Monte-Carlo runs, so no ber.csv is written
+    out = tmp_path / "sim"
+    for bad in (["--rms-samples", "0"], ["--bits-min", "100"],
+                ["--bits-max", "0"]):
+        assert main(["simulate", str(trained_artifact), "--snr", "10",
+                     *bad, "--out", str(out)]) == 1, bad
+        assert "fxlink: config error:" in capsys.readouterr().err
+        assert not (out / "ber.csv").exists()
+
+
 def test_simulate_usage_error_exit_code(trained_artifact):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", str(trained_artifact), "--engine", "warp",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fxlink.fixedpoint import (BitAllocationError, FixedTensor,
-                               FormatMismatchError, fx_add, fx_dot,
-                               fx_linear, fx_mul, make_qformat, quantize)
+                               FormatMismatchError, fx_dot, fx_linear,
+                               make_qformat, quantize)
 
 Q16 = make_qformat(16, 3)
 Q8 = make_qformat(8, 3)
@@ -144,48 +144,6 @@ def test_rms_error_scales_with_step():
         err = quantize(x, q).values - x
         expected = q.step / np.sqrt(12.0)
         assert np.sqrt(np.mean(err ** 2)) == pytest.approx(expected, rel=0.05)
-
-
-# ---------------------------------------------------------------------------
-# scalar ops
-# ---------------------------------------------------------------------------
-
-def test_add_basic_and_saturating():
-    one = quantize(1.0, Q16)
-    assert fx_add(one, one).values == 2.0
-    big = quantize(7.5, Q16)
-    assert fx_add(big, big).values == 7.999755859375
-    zero = quantize(0.0, Q16)
-    x = quantize(-3.2, Q16)
-    assert fx_add(x, zero) == x
-
-
-def test_add_format_mismatch():
-    with pytest.raises(FormatMismatchError):
-        fx_add(quantize(1.0, Q16), quantize(1.0, Q8))
-
-
-def test_mul_examples():
-    a = quantize(0.5, Q16)
-    b = quantize(0.25, Q16)
-    assert fx_mul(a, b).values == 0.125
-    c = quantize(0.10009765625, Q16)
-    out = fx_mul(c, c)
-    assert out.raw == 41 and out.values == 0.010009765625
-    assert fx_mul(a, quantize(0.0, Q16)).raw == 0
-
-
-def test_mul_matches_oracle():
-    rng = np.random.default_rng(4)
-    for q in (Q8, Q16, make_qformat(32, 3)):
-        raws = rng.integers(q.raw_min, q.raw_max + 1, size=(500, 2))
-        for ra, rb in raws:
-            got = fx_mul(FixedTensor(np.array(ra), q),
-                         FixedTensor(np.array(rb), q))
-            prod = Fraction(int(ra) * int(rb), 1 << q.frac_bits)
-            want = oracle_round_half_even(prod)
-            want = min(max(want, q.raw_min), q.raw_max)
-            assert got.raw == want
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def codec_values(model):
         qm = fx.quantize_model(model, q)
         out[f"raws.{q}"] = digest(*[a.raw for net in (qm.encoder, qm.decoder)
                                     for l in net.layers for a in (l.w, l.b)])
-        out[f"saturated.{q}"] = qm.saturated_params
+        out[f"saturated.{q}"] = (qm.encoder.saturated_params
+                                 + qm.decoder.saturated_params)
     return out
 
 

@@ -220,7 +220,11 @@ def test_quantize_on_grid_model_unchanged():
     for net in (model.encoder, model.decoder):
         net.params[...] = fx.quantize(net.params, Q16).values
     qm = quantize_model(model, Q16)
-    assert qm.saturated_params == 0
+    # one codec type: the quantized codec is an AutoencoderModel too
+    assert isinstance(qm, ae.AutoencoderModel)
+    assert qm.fmt == Q16 and qm.engine == "fixed"
+    assert model.fmt is None and model.engine == "float"
+    assert qm.encoder.saturated_params + qm.decoder.saturated_params == 0
     for ql, fl in zip(qm.encoder.layers, model.encoder.layers):
         assert np.array_equal(ql.w.values, fl.w)
 
@@ -229,7 +233,7 @@ def test_quantize_saturation_reported():
     model = fresh_model(9)
     model.encoder.layers[0].w[0, 0] = 9.3
     qm = quantize_model(model, Q16)
-    assert qm.saturated_params >= 1
+    assert qm.encoder.saturated_params + qm.decoder.saturated_params >= 1
     assert qm.encoder.layers[0].w.values[0, 0] == 7.999755859375
 
 
@@ -253,7 +257,7 @@ def test_quantize_idempotent(tmp_path):
     back = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
                                model.ofdm, model.rate)
     qm2 = quantize_model(back, Q16)
-    assert qm2.saturated_params == 0
+    assert qm2.encoder.saturated_params + qm2.decoder.saturated_params == 0
     for a, b in zip(qm.encoder.layers, qm2.encoder.layers):
         assert np.array_equal(a.w.raw, b.w.raw)
         assert np.array_equal(a.b.raw, b.b.raw)
@@ -272,7 +276,8 @@ def test_no_saturation_when_params_in_range():
                for net in (model.encoder, model.decoder)
                for layer in net.layers for arr in (layer.w, layer.b))
     assert peak < Q16.max_value
-    assert quantize_model(model, Q16).saturated_params == 0
+    qm = quantize_model(model, Q16)
+    assert qm.encoder.saturated_params + qm.decoder.saturated_params == 0
 
 
 def test_quantize_32bit_forward_close_to_float(awgn_model):
