@@ -29,13 +29,13 @@ result = ae.train(model, cfg, channel="rayleigh", equalize=True)
 print(f"epoch loss: {result.loss_history[0]:.4f} -> "
       f"{result.loss_history[-1]:.4f} over {cfg.epochs} epochs")
 
-workdir = Path(tempfile.mkdtemp(prefix="fxlink_demo_"))
-path = workdir / "model.fxl"
-fx.save_model(result.model, path, training={"channel": "rayleigh"})
-print(f"\nwrote {path} ({path.stat().st_size} bytes)")
+with tempfile.TemporaryDirectory(prefix="fxlink_demo_") as workdir:
+    path = Path(workdir) / "model.fxl"
+    fx.save_model(result.model, path, training={"channel": "rayleigh"})
+    print(f"\nwrote {path} ({path.stat().st_size} bytes)")
 
-artifact = fx.load_artifact(path)     # raises ArtifactError if malformed
-loaded = artifact.to_model()
+    artifact = fx.load_artifact(path)   # raises ArtifactError if malformed
+    loaded = artifact.to_model()
 print("verified on load: both hashes, header and payload "
       f"(sha256 {artifact.header['payload_sha256'][:16]}...)")
 

@@ -11,9 +11,11 @@ removal -> FFT round trip of an OFDM symbol is the identity and is not
 run.  The receive side optionally zero-forces the known gains and runs the
 decoder network; decisions are per-axis signs of its output.
 
-Training, inference and the layer-error report all run this one chain
-(_link).  Training runs it in float with fresh channel gains and noise
-per sample; gradients treat the gains and the noise draw as constants and
+Training and inference both run this one chain (_link); the layer-error
+report (metrics.layer_error_report) runs its networks and normalization
+on the noiseless unit-gain link, where the channel is the identity.
+Training runs the chain in float with fresh channel gains and noise per
+sample; gradients treat the gains and the noise draw as constants and
 propagate through the (linear) channel and ZF via their adjoints.
 """
 
@@ -145,7 +147,7 @@ def normalize_power(x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# The link: one forward for training, inference and the layer-error report
+# The link: one forward for training and inference
 # ---------------------------------------------------------------------------
 
 def _link(model, x0, h, noise, equalize):

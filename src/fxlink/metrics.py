@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autoencoder as ae
+from . import neuralnet as nn
 from . import ofdmlink as ofdm
 from .autoencoder import AutoencoderModel
 from .fixedpoint import QFormat, make_qformat
@@ -92,23 +93,53 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
 
     model is the float codec and qmodel its quantization at q
     (quantize_model(model, q) when None).  The same modulated blocks run
-    through both back to back on a noiseless unit-gain link, each on its
-    own engine, so the decoder sees the normalized encoder output in both
+    through both, each on its own engine, over a noiseless unit-gain link
+    without ZF, so the decoder sees the normalized encoder output in both
     cases; each layer tap is compared.
+
+    The networks run on even chunks of at most _MC_CHUNK_BLOCKS blocks and
+    only each tap's sums of ref^2 and (test - ref)^2 are kept, so memory
+    beyond the blocks themselves and the [n, encoded_dim] encoder outputs
+    is bounded by one chunk's taps.  The power scale is still one per
+    engine over the whole batch, as the link applies it, and that link is
+    the identity here, so the decoders run straight on the normalized
+    encoder outputs.  Every tap then equals the one the link computes on
+    the full batch: chunks are even because a few-row remainder would
+    take the BLAS's small-matrix path, whose float sums round differently.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if qmodel is None:
         qmodel = quantize_model(model, q)
     x0 = ae.random_block(n_samples, model.ofdm, rng).reals
+    n_enc = len(model.encoder.layers)
+    ref_ss = np.zeros(n_enc + len(model.decoder.layers))
+    err_ss = np.zeros_like(ref_ss)
+    n_chunks = -(-n_samples // _MC_CHUNK_BLOCKS)
+    edges = [n_samples * i // n_chunks for i in range(n_chunks + 1)]
 
-    def layer_taps(m):
-        _, taps = ae._link(m, x0, 1.0, None, equalize=False)
-        return taps["encoder_layers"] + taps["decoder_layers"]
+    def run(f_net, q_net, f_in, q_in, k0):
+        """Both nets chunk by chunk, summing into taps k0...; returns
+        their outputs."""
+        f_out = np.empty((n_samples, f_net.dims[-1]))
+        q_out = np.empty_like(f_out)
+        for rows in map(slice, edges[:-1], edges[1:]):
+            f_out[rows], f_taps = nn.forward_float(f_net, f_in[rows])
+            q_out[rows], q_taps = nn.forward_fixed(q_net, q_in[rows])
+            for k, (f, t) in enumerate(zip(f_taps, q_taps), k0):
+                d = t.raw * t.fmt.step - f      # exact, as t.values is
+                ref_ss[k] += np.vdot(f, f)
+                err_ss[k] += np.vdot(d, d)
+        return f_out, q_out
 
-    # only the float layer list stays alive during the fixed pass
-    f_layers = layer_taps(model)
-    errors = [relative_rms(f, qt.values) for f, qt in
-              zip(f_layers, layer_taps(qmodel))]
-    return LayerErrorReport(errors, q.total_bits, q.int_bits,
+    f_enc, q_enc = run(model.encoder, qmodel.encoder, x0, x0, 0)
+    f_enc, _ = ae.normalize_power(f_enc)
+    q_enc, _ = ae.normalize_power(q_enc)
+    run(model.decoder, qmodel.decoder, f_enc, q_enc, n_enc)
+    if not ref_ss.all():
+        raise ValueError("reference signal is identically zero")
+    errors = 100.0 * np.sqrt(err_ss) / np.sqrt(ref_ss)
+    return LayerErrorReport(errors.tolist(), q.total_bits, q.int_bits,
                             model_id(model), n_samples)
 
 

@@ -53,11 +53,12 @@ def test_bench_traced_round(workload):
     # a trim or rename of a traced library function shows up in "absent"
     info, result = run_round(workload, 1)
     assert set(info["absent"]) <= STALE_TARGETS, info["absent"]
-    # the link calls both forward passes through the module, where the
-    # tracer wraps them, and each quantized codec's .fmt splits the BER
-    # Monte-Carlo per Q-format
+    # the link and the layer-error report call both forward passes through
+    # the module, where the tracer wraps them, and each quantized codec's
+    # .fmt splits the BER Monte-Carlo per Q-format
     metrics = result["metrics"]
     for name in ("neuralnet.forward_fixed.self_ms",
                  "neuralnet.forward_float.self_ms",
+                 "metrics.layer_error_report.self_ms",
                  *(f"metrics.ber_sweep.bits.q{t}" for t in (16, 24, 32))):
         assert metrics[name]["value"] > 0, name

@@ -1,6 +1,7 @@
 """Measurement layer: error metrics, BER Monte-Carlo, latency, sweeps."""
 
 import csv
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,53 @@ def test_layer_report_metadata(awgn_model):
     assert rep.n_samples == 200
     assert rep.first_layer == rep.rel_rms_pct[0]
     assert rep.final_layer == rep.rel_rms_pct[-1]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_layer_report_rejects_empty(awgn_model, n):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="n_samples"):
+        mx.layer_error_report(awgn_model, Q16, n, rng)
+    # nothing was drawn
+    assert rng.integers(0, 2**62) == \
+        np.random.default_rng(4).integers(0, 2**62)
+
+
+@pytest.mark.parametrize("bits", [16, 32])     # one-GEMM and limb regimes
+def test_layer_report_matches_full_batch_link(awgn_model, bits):
+    # the definition the chunked report must keep: both codecs over the
+    # noiseless unit-gain link on the whole batch at once, tap by tap
+    q = fx.make_qformat(bits, 3)
+    qm = fx.quantize_model(awgn_model, q)
+    for n in (1, 511, 512, 513, 1300):
+        rng = np.random.default_rng([5, n])
+        rep = mx.layer_error_report(awgn_model, q, n, rng, qm)
+
+        ref_rng = np.random.default_rng([5, n])
+        x0 = ae.random_block(n, awgn_model.ofdm, ref_rng).reals
+        _, tf = ae._link(awgn_model, x0, 1.0, None, equalize=False)
+        _, tq = ae._link(qm, x0, 1.0, None, equalize=False)
+        want = [mx.relative_rms(f, t.values) for f, t in
+                zip(tf["encoder_layers"] + tf["decoder_layers"],
+                    tq["encoder_layers"] + tq["decoder_layers"])]
+        np.testing.assert_allclose(rep.rel_rms_pct, want, rtol=1e-12,
+                                   atol=0)
+        # the caller's stream moves exactly as far as random_block's draw
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def test_layer_report_memory_bounded(ofdm16):
+    # 10240 blocks: the full-batch taps alone would be 10 MB each
+    model = ae.build_model(ofdm16, 128, 5)
+    qm = fx.quantize_model(model, Q16)
+    tracemalloc.start()
+    try:
+        mx.layer_error_report(model, Q16, 10240, np.random.default_rng(6),
+                              qm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
