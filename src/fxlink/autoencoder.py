@@ -68,7 +68,8 @@ def encoded_dim(ofdm_cfg: OfdmConfig, rate: float) -> int:
 class AutoencoderModel:
     """Encoder/decoder pair around the OFDM link: float64 FCNets, or
     QuantizedNets on one Q-format grid (paramdelivery.quantize_model).
-    fmt and engine say which, and the link runs that forward pass."""
+    fmt and engine say which, and the link runs that forward pass; a pair
+    on two formats, float and fixed included, raises ValueError."""
 
     encoder: FCNet | QuantizedNet
     decoder: FCNet | QuantizedNet
@@ -83,6 +84,10 @@ class AutoencoderModel:
         if self.decoder.dims[0] != d_enc or self.decoder.dims[-1] != d_in:
             raise ValueError(
                 f"decoder must map {d_enc} -> {d_in}, got {self.decoder.dims}")
+        if self.encoder.fmt != self.decoder.fmt:
+            raise ValueError(f"encoder at {self.encoder.fmt or 'float64'} "
+                             "and decoder at "
+                             f"{self.decoder.fmt or 'float64'} differ")
 
     @property
     def fmt(self):                  # the networks' QFormat; None for float
@@ -166,7 +171,7 @@ def _link(model, x0, h, noise, equalize):
     if noise is not None:
         rx_freq += noise
     if equalize:
-        rx_freq, _ = ofdm.equalize_zf(rx_freq, h)
+        rx_freq = ofdm.equalize_zf(rx_freq, h)
     dec_in = ofdm.to_reals(rx_freq)
     dec_out, dec_layers = fwd(model.decoder, dec_in)
     taps = {
@@ -202,7 +207,7 @@ def end_to_end(model, bits: np.ndarray,
     if bits.shape[-1] != model.ofdm.bits_per_block:
         raise ValueError(
             f"expected {model.ofdm.bits_per_block} bits per block")
-    n_tx = model.encoder.dims[-1] // 2
+    n_tx = model.n_tx_subcarriers
     h = realization.h
     if h.shape[-1] != n_tx:
         raise ValueError(f"gain length {h.shape[-1]} != {n_tx}")
@@ -242,7 +247,7 @@ def chain_loss_and_grads(model, x0, h, noise, equalize=True):
     g_c = ofdm.to_complex(g_dec_in)
     h_conj = np.conj(h)
     if equalize:                        # adjoint of y/h is ZF by conj(h)
-        g_c, _ = ofdm.equalize_zf(g_c, h_conj)
+        g_c = ofdm.equalize_zf(g_c, h_conj)
     g_encoded = ofdm.to_reals(h_conj * g_c)     # channel y = h*x + eps
 
     # adjoint of x/s with s = sqrt(c * sum(x^2)), c = 2/size

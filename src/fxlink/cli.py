@@ -137,22 +137,17 @@ def cmd_train(args) -> int:
     out = _outdir(args, config_dir)
     tc = (spec.train if args.seed is None
           else replace(spec.train, seed=args.seed))
-    try:
-        model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
-                               spec.rate, seed=tc.seed)
-    except ValueError as exc:       # a shape the sweep axis left unchecked
-        raise ConfigError(str(exc)) from exc
+    model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
+                           spec.rate, seed=tc.seed)
     result = ae.train(model, tc, spec.channel, spec.equalize,
                       rng=split_rng(tc.seed, _STREAM_TRAIN))
     meta = {"channel": spec.channel, "equalize": spec.equalize,
             **asdict(tc), "final_loss": result.loss_history[-1]}
     artifact_path = out / "model.fxl"
     save_model(result.model, artifact_path, training=meta)
-    with open(out / "loss.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for i, val in enumerate(result.loss_history, 1):
-            w.writerow([i, f"{val:.10g}"])
+    mx.write_csv(out / "loss.csv", "loss.csv",
+                 ([i, f"{val:.10g}"]
+                  for i, val in enumerate(result.loss_history, 1)))
     print(f"wrote {artifact_path} (final epoch loss "
           f"{result.loss_history[-1]:.6g}) and {out / 'loss.csv'}")
     return 0
@@ -236,9 +231,11 @@ def cmd_sweep(args) -> int:
     seed = spec.train.seed if args.seed is None else args.seed
     seeds = (spec.seeds if args.seed is None
              else [seed + i for i in range(len(spec.seeds))])
-    spec = replace(spec, seeds=seeds, out_path=str(out / "sweep.csv"))
-    rows = mx.run_sweep(spec, split_rng(seed, _STREAM_SWEEP))
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
+    n_rows = mx.write_sweep_csv(
+        out / "sweep.csv",
+        mx.run_sweep(replace(spec, seeds=seeds),
+                     split_rng(seed, _STREAM_SWEEP)))
+    print(f"wrote {out / 'sweep.csv'} ({n_rows} rows)")
     return 0
 
 
@@ -273,7 +270,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in files:
         with open(path, newline="") as fh:
-            rows.extend(list(csv.DictReader(fh)))
+            rows.extend(csv.DictReader(fh))
     if not rows:
         raise RuntimeError(f"no sweep rows found under {src}")
     out = _outdir(args)
@@ -285,16 +282,11 @@ def cmd_report(args) -> int:
         by_value: dict = {}
         for r in axis_rows:
             by_value.setdefault(float(r["value"]), []).append(r)
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["value", "mean_final_rms_pct", "mean_ber_ref",
-                        "n_seeds"])
-            for value in sorted(by_value):
-                grp = by_value[value]
-                rms = np.mean([float(r["final_rms_pct"]) for r in grp])
-                ber = np.mean([float(r["ber_ref"]) for r in grp])
-                w.writerow([f"{value:g}", f"{rms:.10g}", f"{ber:.10g}",
-                            len(grp)])
+        mx.write_csv(out / name, "fig*.csv", (
+            [f"{value:g}",
+             f"{np.mean([float(r['final_rms_pct']) for r in grp]):.10g}",
+             f"{np.mean([float(r['ber_ref']) for r in grp]):.10g}", len(grp)]
+            for value, grp in sorted(by_value.items())))
         written.append(name)
     print(f"wrote {', '.join(written)} under {out}")
     return 0

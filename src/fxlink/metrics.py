@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +34,9 @@ CSV_SCHEMAS = {
     "sweep.csv": ["axis", "value", "seed", "final_rms_pct", "ber_ref"],
     "latency.csv": ["layer_idx", "macs", "cycles", "time_us", "budget_us",
                     "pass"],
+    "loss.csv": ["epoch", "loss"],
+    # the `fxlink report` tables fig5.csv, fig6a.csv and fig6b.csv
+    "fig*.csv": ["value", "mean_final_rms_pct", "mean_ber_ref", "n_seeds"],
 }
 
 
@@ -92,10 +96,11 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
     """Float vs fixed per-layer relative RMS on shared random blocks.
 
     model is the float codec and qmodel its quantization at q
-    (quantize_model(model, q) when None).  The same modulated blocks run
-    through both, each on its own engine, over a noiseless unit-gain link
-    without ZF, so the decoder sees the normalized encoder output in both
-    cases; each layer tap is compared.
+    (quantize_model(model, q) when None); a qmodel at another format
+    raises ValueError, so the report names the format it measured.  The
+    same modulated blocks run through both, each on its own engine, over a
+    noiseless unit-gain link without ZF, so the decoder sees the
+    normalized encoder output in both cases; each layer tap is compared.
 
     The networks run on even chunks of at most _MC_CHUNK_BLOCKS blocks and
     only each tap's sums of ref^2 and (test - ref)^2 are kept, so memory
@@ -111,6 +116,8 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if qmodel is None:
         qmodel = quantize_model(model, q)
+    if qmodel.fmt != q:
+        raise ValueError(f"qmodel is at {qmodel.fmt}, not {q}")
     x0 = ae.random_block(n_samples, model.ofdm, rng).reals
     n_enc = len(model.encoder.layers)
     ref_ss = np.zeros(n_enc + len(model.decoder.layers))
@@ -198,7 +205,7 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     else:
         cfg = model.ofdm
         mid = model_id(model)
-        n_tx = model.encoder.dims[-1] // 2
+        n_tx = model.n_tx_subcarriers
     points = []
     for snr_db in snr_list:
         bits_done = 0
@@ -226,7 +233,7 @@ def _uncoded_chain(tx_bits, chan, rng, equalize):
     """Plain 4-QAM OFDM without the neural codec, ZF optional."""
     rx_freq = ofdm.apply_channel(ofdm.qam4_modulate(tx_bits), chan, rng)
     if equalize:
-        rx_freq, _ = ofdm.equalize_zf(rx_freq, chan.h)
+        rx_freq = ofdm.equalize_zf(rx_freq, chan.h)
     return ofdm.qam4_demodulate(rx_freq)
 
 
@@ -326,7 +333,6 @@ class SweepSpec:
     rms_samples: int = 2000
     ber_min_bits: int = 100_000
     ber_max_bits: int = 1_000_000
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -341,13 +347,13 @@ class SweepSpec:
         check_ber_budget(self.ber_min_bits, self.ber_max_bits)
         if self.rms_samples < 1:
             raise ValueError("rms_samples must be at least 1")
-        # every point, before run_sweep trains for any of them
-        for value in self.values:
-            hidden, layers, _ = self._point(value)
+        # the base model and every point, before run_sweep trains for any
+        shapes = [("the base model", self.hidden_nodes, self.n_layers)] + [
+            (f"{self.axis} = {v}", *self._point(v)[:2]) for v in self.values]
+        for where, hidden, layers in shapes:
             if hidden < 1 or layers < 2:
-                raise ValueError(
-                    f"{self.axis} = {value}: a model needs at least one "
-                    "hidden node and one layer per side")
+                raise ValueError(f"{where}: a model needs at least one "
+                                 "hidden node and one layer per side")
 
     def _point(self, value) -> tuple[int, int, QFormat]:
         """(hidden_nodes, n_layers, qformat) of the model at one axis value."""
@@ -379,84 +385,75 @@ def _train_for_sweep(spec: SweepSpec, hidden: int, layers: int, seed: int,
     return cache[key]
 
 
-def run_sweep(spec: SweepSpec,
-              rng: np.random.Generator | None = None) -> list[SweepRow]:
-    """One row per (axis value, seed): final-layer RMS + BER at the
-    reference SNR.
+def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None
+              ) -> Iterator[SweepRow]:
+    """Yield one row per (axis value, seed) as it finishes: final-layer
+    RMS + BER at the reference SNR.
 
     bit_width sweeps reuse a single trained model per seed and vary the
     Q-format (fixed-engine BER); hidden_nodes and n_layers train one model
-    per value and report float-engine BER.  Rows are flushed to
-    spec.out_path as they finish.
+    per value and report float-engine BER.  write_sweep_csv writes the
+    rows to sweep.csv as they come.
     """
     if rng is None:
         rng = np.random.default_rng(12345)
     cache = {}
-    rows = []
-    writer = None
-    fh = None
-    if spec.out_path:
-        fh = open(spec.out_path, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_SCHEMAS["sweep.csv"])
-    try:
-        for value in spec.values:
-            for seed in spec.seeds:
-                hidden, layers, q = spec._point(value)
-                model = _train_for_sweep(spec, hidden, layers, seed, cache)
-                qmodel = quantize_model(model, q)
-                report = layer_error_report(
-                    model, q, spec.rms_samples,
-                    np.random.default_rng(rng.integers(2 ** 63)), qmodel)
-                ber_model = qmodel if spec.axis == "bit_width" else model
-                curve = ber_sweep(
-                    ber_model, ber_model.engine, spec.channel,
-                    [spec.ref_snr_db], spec.ber_min_bits, spec.ber_max_bits,
-                    np.random.default_rng(rng.integers(2 ** 63)),
-                    equalize=spec.equalize)
-                row = SweepRow(spec.axis, value, seed, report.final_layer,
-                               curve.points[0].ber)
-                rows.append(row)
-                if writer:
-                    writer.writerow([row.axis, row.value, row.seed,
-                                     f"{row.final_rms_pct:.10g}",
-                                     f"{row.ber_ref:.10g}"])
-                    fh.flush()
-    finally:
-        if fh:
-            fh.close()
-    return rows
+    for value in spec.values:
+        for seed in spec.seeds:
+            hidden, layers, q = spec._point(value)
+            model = _train_for_sweep(spec, hidden, layers, seed, cache)
+            qmodel = quantize_model(model, q)
+            report = layer_error_report(
+                model, q, spec.rms_samples,
+                np.random.default_rng(rng.integers(2 ** 63)), qmodel)
+            ber_model = qmodel if spec.axis == "bit_width" else model
+            curve = ber_sweep(
+                ber_model, ber_model.engine, spec.channel,
+                [spec.ref_snr_db], spec.ber_min_bits, spec.ber_max_bits,
+                np.random.default_rng(rng.integers(2 ** 63)),
+                equalize=spec.equalize)
+            yield SweepRow(spec.axis, value, seed, report.final_layer,
+                           curve.points[0].ber)
 
 
 # ---------------------------------------------------------------------------
 # CSV writers (stable column order per CSV_SCHEMAS)
 # ---------------------------------------------------------------------------
 
-def write_layer_error_csv(path, reports: list[LayerErrorReport]):
+def write_csv(path, schema: str, rows: Iterable) -> int:
+    """Write CSV_SCHEMAS[schema] as the header, then each row, flushed as
+    it is written, so a run cut short leaves every finished row on disk.
+    Returns the number of rows."""
+    n = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_SCHEMAS["layer_error.csv"])
-        for rep in reports:
-            for idx, val in enumerate(rep.rel_rms_pct):
-                w.writerow([rep.model_id, rep.bit_width, idx,
-                            f"{val:.10g}", rep.n_samples])
+        w.writerow(CSV_SCHEMAS[schema])
+        for n, row in enumerate(rows, 1):
+            w.writerow(row)
+            fh.flush()
+    return n
 
 
-def write_ber_csv(path, curves: list[BerCurve]):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_SCHEMAS["ber.csv"])
-        for c in curves:
-            for p in c.points:
-                w.writerow([c.model_id, c.engine, c.channel,
-                            f"{p.snr_db:.10g}", f"{p.ber:.10g}", p.bits,
-                            p.errors])
+def write_layer_error_csv(path, reports: list[LayerErrorReport]) -> int:
+    return write_csv(path, "layer_error.csv", (
+        [rep.model_id, rep.bit_width, idx, f"{val:.10g}", rep.n_samples]
+        for rep in reports for idx, val in enumerate(rep.rel_rms_pct)))
 
 
-def write_latency_csv(path, est: LatencyEstimate):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_SCHEMAS["latency.csv"])
-        for l in est.layers:
-            w.writerow([l.layer_idx, l.macs, l.cycles, f"{l.time_us:.10g}",
-                        f"{l.budget_us:.10g}", int(l.ok)])
+def write_ber_csv(path, curves: list[BerCurve]) -> int:
+    return write_csv(path, "ber.csv", (
+        [c.model_id, c.engine, c.channel, f"{p.snr_db:.10g}",
+         f"{p.ber:.10g}", p.bits, p.errors]
+        for c in curves for p in c.points))
+
+
+def write_latency_csv(path, est: LatencyEstimate) -> int:
+    return write_csv(path, "latency.csv", (
+        [l.layer_idx, l.macs, l.cycles, f"{l.time_us:.10g}",
+         f"{l.budget_us:.10g}", int(l.ok)] for l in est.layers))
+
+
+def write_sweep_csv(path, rows: Iterable[SweepRow]) -> int:
+    return write_csv(path, "sweep.csv", (
+        [r.axis, r.value, r.seed, f"{r.final_rms_pct:.10g}",
+         f"{r.ber_ref:.10g}"] for r in rows))

@@ -148,11 +148,12 @@ def forward_float(net: FCNet, x: np.ndarray):
 def _backward_from(net: FCNet, x: np.ndarray, per_layer, g_out: np.ndarray):
     """Backprop an upstream gradient through the net.
 
-    x is the network input and per_layer the post-activation outputs that
-    forward_float returned for it; relu'(z) is exactly (a > 0) for
-    a = relu(z), so no pre-activations are needed.  Returns (grads, g_in):
-    the parameter gradient as one flat vector laid out like net.params,
-    and the gradient w.r.t. the network input.
+    x is a batch of network inputs [n, in], per_layer the post-activation
+    outputs that forward_float returned for it and g_out [n, out]; relu'(z)
+    is exactly (a > 0) for a = relu(z), so no pre-activations are needed.
+    Returns (grads, g_in): the parameter gradient summed over the batch as
+    one flat vector laid out like net.params, and the gradient w.r.t. the
+    network input.
     """
     grads = np.empty_like(net.params)
     views = layer_views(grads, net.dims)
@@ -162,12 +163,8 @@ def _backward_from(net: FCNet, x: np.ndarray, per_layer, g_out: np.ndarray):
         gw, gb = views[i]
         gz = g * (per_layer[i] > 0) if layer.activation == "relu" else g
         a_prev = per_layer[i - 1] if i else x
-        if gz.ndim == 1:
-            np.outer(gz, a_prev, out=gw)
-            gb[...] = gz
-        else:
-            np.matmul(gz.T, a_prev, out=gw)
-            gz.sum(axis=0, out=gb)
+        np.matmul(gz.T, a_prev, out=gw)
+        gz.sum(axis=0, out=gb)
         g = gz @ layer.w
     return grads, g
 
@@ -205,11 +202,15 @@ def optimizer_step(params, grads, state, cfg: TrainConfig):
 
 @dataclass
 class QuantizedNet:
-    """FCNet with every parameter on a Q-format grid, stored as raw ints."""
+    """FCNet with every parameter on a Q-format grid, stored as raw ints.
+    Its format is its layers' (quantize_net puts them on one grid)."""
 
     layers: list[MacArray]
-    fmt: QFormat
     saturated_params: int = 0
+
+    @property
+    def fmt(self) -> QFormat:
+        return self.layers[0].w.fmt
 
     @property
     def depth(self) -> int:
@@ -232,7 +233,7 @@ def quantize_net(net: FCNet, fmt: QFormat) -> QuantizedNet:
     q.raw.flags.writeable = False
     layers = [MacArray(FixedTensor(w, fmt), FixedTensor(b, fmt), l.activation)
               for (w, b), l in zip(layer_views(q.raw, net.dims), net.layers)]
-    return QuantizedNet(layers, fmt, saturation_count(net.params, fmt))
+    return QuantizedNet(layers, saturation_count(net.params, fmt))
 
 
 def forward_fixed(qnet: QuantizedNet, x: np.ndarray):

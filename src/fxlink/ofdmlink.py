@@ -181,20 +181,15 @@ def apply_channel(freq_symbols: np.ndarray, realization: ChannelRealization,
     return y if noise is None else y + noise
 
 
-def equalize_zf(y: np.ndarray, h: np.ndarray):
-    """Zero-forcing: x_hat = y / h, with near-zero gains flagged and zeroed.
-
-    Returns (x_hat, singular) where singular marks subcarriers whose
-    |h| fell below the threshold.
-    """
+def equalize_zf(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Zero-forcing: x_hat = y / h, zeroed on subcarriers whose |h| is
+    below ZF_SINGULAR_THRESHOLD."""
     y = np.asarray(y)
     h = np.asarray(h)
     singular = np.abs(h) < ZF_SINGULAR_THRESHOLD
     if not singular.any():
-        return y / h, singular
-    safe = np.where(singular, 1.0, h)
-    x_hat = np.where(singular, 0.0, y / safe)
-    return x_hat, singular
+        return y / h
+    return np.where(singular, 0.0, y / np.where(singular, 1.0, h))
 
 
 def to_complex(reals: np.ndarray) -> np.ndarray:

@@ -219,6 +219,21 @@ def test_end_to_end_engine_model_mismatch(awgn_model):
         ae.end_to_end(awgn_model, bits, chan, rng, engine="warp")
 
 
+def test_model_rejects_mixed_formats(awgn_model):
+    q16, q8 = fx.make_qformat(16, 3), fx.make_qformat(8, 3)
+    enc16 = fx.quantize_model(awgn_model, q16).encoder
+    for decoder, names in (
+            (fx.quantize_model(awgn_model, q8).decoder, "Q16.3.*Q8.3"),
+            (awgn_model.decoder, "Q16.3.*float64")):
+        with pytest.raises(ValueError, match=names):
+            ae.AutoencoderModel(enc16, decoder, awgn_model.ofdm,
+                                awgn_model.rate)
+    with pytest.raises(ValueError, match="float64.*Q16.3"):
+        ae.AutoencoderModel(awgn_model.encoder,
+                            fx.quantize_model(awgn_model, q16).decoder,
+                            awgn_model.ofdm, awgn_model.rate)
+
+
 def test_fixed_32bit_matches_float_decisions(awgn_model, ofdm16):
     q32 = fx.make_qformat(32, 3)
     qm = fx.quantize_model(awgn_model, q32)

@@ -114,6 +114,10 @@ BAD_VALUES = {
     "values_not_int": ("sweep", "[sweep]\nvalues = 8.5"),
     "values_layers": ("sweep", "[sweep]\naxis = n_layers\nvalues = 2,1"),
     "values_hidden": ("sweep", "[sweep]\naxis = hidden_nodes\nvalues = 0"),
+    "train_base_hidden": ("train", "[model]\nhidden_nodes = 0\n"
+                                   "[sweep]\naxis = hidden_nodes"),
+    "sweep_base_hidden": ("sweep", "[model]\nhidden_nodes = 0\n"
+                                   "[sweep]\naxis = hidden_nodes"),
     "seeds_empty": ("sweep", "[sweep]\nseeds ="),
     "sweep_kind": ("sweep", "[channel]\nkind = rician"),
     "bits": ("sweep", "[quantize]\nbits = 40"),

@@ -354,7 +354,6 @@ FROZEN = {
     'config.reference.sweep.rms_samples': 2000,
     'config.reference.sweep.ber_min_bits': 100000,
     'config.reference.sweep.ber_max_bits': 1000000,
-    'config.reference.sweep.out_path': 'out/sweep.csv',
     'config.reference.sweep.rng': 7731686665370224177,
     'config.sweep_bitwidth.train.ofdm.n_subcarriers': 16,
     'config.sweep_bitwidth.train.ofdm.cp_len': 4,
@@ -400,7 +399,6 @@ FROZEN = {
     'config.sweep_bitwidth.sweep.rms_samples': 2000,
     'config.sweep_bitwidth.sweep.ber_min_bits': 100000,
     'config.sweep_bitwidth.sweep.ber_max_bits': 400000,
-    'config.sweep_bitwidth.sweep.out_path': 'out/sweep_bitwidth/sweep.csv',
     'config.sweep_bitwidth.sweep.rng': 7731686665370224177,
     'config.empty.train.ofdm.n_subcarriers': 16,
     'config.empty.train.ofdm.cp_len': 4,
@@ -446,7 +444,6 @@ FROZEN = {
     'config.empty.sweep.rms_samples': 2000,
     'config.empty.sweep.ber_min_bits': 100000,
     'config.empty.sweep.ber_max_bits': 1000000,
-    'config.empty.sweep.out_path': 'sweep.csv',
     'config.empty.sweep.rng': 7731686665370224177,
     'cli.train.cfg.loss.csv': '17fcb4a2e9f1b6ec',
     'cli.train.cfg.payload_sha256': '06b73697eee1e395',

@@ -90,6 +90,16 @@ def test_layer_report_metadata(awgn_model):
     assert rep.final_layer == rep.rel_rms_pct[-1]
 
 
+def test_layer_report_rejects_qmodel_at_another_format(awgn_model):
+    q8 = fx.make_qformat(8, 3)
+    with pytest.raises(ValueError, match="Q16.3.*Q8.3"):
+        mx.layer_error_report(awgn_model, q8, 100, np.random.default_rng(3),
+                              fx.quantize_model(awgn_model, Q16))
+    with pytest.raises(ValueError, match="Q16.3"):
+        mx.layer_error_report(awgn_model, Q16, 100, np.random.default_rng(3),
+                              awgn_model)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_layer_report_rejects_empty(awgn_model, n):
     rng = np.random.default_rng(4)
@@ -249,9 +259,9 @@ def test_sweep_bit_width_rows(tmp_path, ofdm16):
         axis="bit_width", values=[8, 16, 24], seeds=[0], ofdm=ofdm16,
         hidden_nodes=16, n_layers=3, train=tiny_train_cfg(),
         channel="awgn", equalize=False, rms_samples=300,
-        ber_min_bits=10_000, ber_max_bits=20_000, out_path=str(out))
-    rows = mx.run_sweep(spec)
-    assert len(rows) == 3
+        ber_min_bits=10_000, ber_max_bits=20_000)
+    rows = list(mx.run_sweep(spec))
+    assert mx.write_sweep_csv(out, rows) == 3
     rms = [r.final_rms_pct for r in rows]
     assert rms[0] > rms[1] > rms[2]
     with open(out, newline="") as fh:
@@ -267,10 +277,28 @@ def test_sweep_trains_one_model_per_seed(tmp_path, ofdm16):
         channel="awgn", equalize=False, rms_samples=200,
         ber_min_bits=10_000, ber_max_bits=20_000)
     with mock.patch.object(ae, "train", wraps=ae.train) as train:
-        rows = mx.run_sweep(spec)
+        rows = list(mx.run_sweep(spec))
     assert len(rows) == 4
     # one trained model per seed, shared across widths
     assert train.call_count == 2
+
+
+def test_sweep_csv_keeps_rows_before_a_failure(tmp_path, ofdm16):
+    spec = mx.SweepSpec(
+        axis="hidden_nodes", values=[8, 12], seeds=[0], ofdm=ofdm16,
+        n_layers=2, train=tiny_train_cfg(), channel="awgn", equalize=False,
+        rms_samples=200, ber_min_bits=10_000, ber_max_bits=20_000)
+    first = ae.train(ae.build_model(ofdm16, 8, 2, seed=0), spec.train,
+                     "awgn", False)
+    out = tmp_path / "sweep.csv"
+    with mock.patch.object(ae, "train",
+                           side_effect=[first, RuntimeError("killed")]):
+        with pytest.raises(RuntimeError, match="killed"):
+            mx.write_sweep_csv(out, mx.run_sweep(spec))
+    with open(out, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == mx.CSV_SCHEMAS["sweep.csv"]
+    assert [row[:3] for row in table[1:]] == [["hidden_nodes", "8", "0"]]
 
 
 def test_sweep_rejects_bad_spec(ofdm16):
@@ -290,6 +318,12 @@ def test_sweep_rejects_bad_spec(ofdm16):
             mx.SweepSpec(axis=axis, values=values, seeds=[0])
     with pytest.raises(ValueError, match="hidden node"):
         mx.SweepSpec(axis="bit_width", values=[8], seeds=[0], hidden_nodes=0)
+    # the base model too, on the axis that replaces its shape
+    with pytest.raises(ValueError, match="base model"):
+        mx.SweepSpec(axis="hidden_nodes", values=[8], seeds=[0],
+                     hidden_nodes=0)
+    with pytest.raises(ValueError, match="base model"):
+        mx.SweepSpec(axis="n_layers", values=[3], seeds=[0], n_layers=1)
     for rate, msg in ((2.0, "rate must be"), (0.3, "whole number"),
                       (2 / 3, "power of two")):
         with pytest.raises(ValueError, match=msg):

@@ -87,7 +87,9 @@ def test_forward_dim_mismatch():
 
 def backward(net, x, target):
     """(MSE loss, its gradient laid out like net.params) by forward_float
-    and the production backprop, _backward_from."""
+    and the production backprop, _backward_from; vectors run as one-row
+    batches."""
+    x, target = np.atleast_2d(x), np.atleast_2d(target)
     y, per_layer = forward_float(net, x)
     diff = y - target
     grads, _ = _backward_from(net, x, per_layer, 2.0 * diff / diff.size)
@@ -175,7 +177,7 @@ def test_backward_batch_matches_sum_of_samples():
     _, batch_grads = backward(net, x, t)
     acc = np.zeros_like(net.params)
     for i in range(3):
-        _, g = backward(net, x[i], t[i])
+        _, g = backward(net, x[i:i + 1], t[i:i + 1])
         acc += g / 3.0
     assert np.allclose(batch_grads, acc, atol=1e-12)
 
