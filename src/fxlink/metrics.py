@@ -11,6 +11,7 @@ against one OFDM symbol duration.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -65,7 +66,8 @@ def evm(ref_symbols: np.ndarray, test_symbols: np.ndarray) -> float:
 
 @dataclass
 class LayerErrorReport:
-    rel_rms_pct: list[float]      # encoder layers then decoder layers
+    rel_rms_pct: list[float]      # encoder layers then decoder layers;
+                                  # NaN where the float tap is all zeros
     bit_width: int
     int_bits: int
     model_id: str
@@ -101,6 +103,8 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
     same modulated blocks run through both, each on its own engine, over a
     noiseless unit-gain link without ZF, so the decoder sees the
     normalized encoder output in both cases; each layer tap is compared.
+    A tap whose float reference is identically zero (a dead layer) has no
+    relative error and reads NaN.
 
     The networks run on even chunks of at most _MC_CHUNK_BLOCKS blocks and
     only each tap's sums of ref^2 and (test - ref)^2 are kept, so memory
@@ -143,9 +147,8 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
     f_enc, _ = ae.normalize_power(f_enc)
     q_enc, _ = ae.normalize_power(q_enc)
     run(model.decoder, qmodel.decoder, f_enc, q_enc, n_enc)
-    if not ref_ss.all():
-        raise ValueError("reference signal is identically zero")
-    errors = 100.0 * np.sqrt(err_ss) / np.sqrt(ref_ss)
+    errors = np.divide(100.0 * np.sqrt(err_ss), np.sqrt(ref_ss),
+                       out=np.full_like(ref_ss, np.nan), where=ref_ss > 0)
     return LayerErrorReport(errors.tolist(), q.total_bits, q.int_bits,
                             model_id(model), n_samples)
 
@@ -263,7 +266,6 @@ class LayerLatency:
     macs: int
     cycles: int
     time_us: float
-    budget_us: float
     ok: bool
 
 
@@ -291,16 +293,14 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
     if len(dims) < 2 or min(dims) < 1:
         raise ValueError("dims needs at least one layer and no dim below 1")
     n_samples = ofdm_cfg.n_subcarriers + ofdm_cfg.cp_len
-    budget_us = ofdm_cfg.symbol_duration * 1e6
     layers = []
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         macs = din * dout
         cycles = -(-macs // parallel_macs) + pipeline_depth
         time_us = cycles / f_clk * 1e6
         ok = cycles * ofdm_cfg.sample_rate < n_samples * f_clk
-        layers.append(LayerLatency(i, din, dout, macs, cycles, time_us,
-                                   budget_us, ok))
-    return LatencyEstimate(layers, budget_us)
+        layers.append(LayerLatency(i, din, dout, macs, cycles, time_us, ok))
+    return LatencyEstimate(layers, ofdm_cfg.symbol_duration * 1e6)
 
 
 def stack_dims(model) -> list[int]:
@@ -374,34 +374,28 @@ class SweepRow:
     ber_ref: float
 
 
-def _train_for_sweep(spec: SweepSpec, hidden: int, layers: int, seed: int,
-                     cache: dict) -> AutoencoderModel:
-    key = (hidden, layers, seed)
-    if key not in cache:
-        model = ae.build_model(spec.ofdm, hidden, layers, spec.rate,
-                               seed=seed)
-        cache[key] = ae.train(model, replace(spec.train, seed=seed),
-                              spec.channel, spec.equalize).model
-    return cache[key]
-
-
-def run_sweep(spec: SweepSpec, rng: np.random.Generator | None = None
+def run_sweep(spec: SweepSpec, rng: np.random.Generator
               ) -> Iterator[SweepRow]:
     """Yield one row per (axis value, seed) as it finishes: final-layer
-    RMS + BER at the reference SNR.
+    RMS + BER at the reference SNR, each point drawing its layer-error
+    and BER streams from rng.
 
     bit_width sweeps reuse a single trained model per seed and vary the
     Q-format (fixed-engine BER); hidden_nodes and n_layers train one model
     per value and report float-engine BER.  write_sweep_csv writes the
     rows to sweep.csv as they come.
     """
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    cache = {}
+    @functools.cache
+    def trained(hidden: int, layers: int, seed: int) -> AutoencoderModel:
+        model = ae.build_model(spec.ofdm, hidden, layers, spec.rate,
+                               seed=seed)
+        return ae.train(model, replace(spec.train, seed=seed), spec.channel,
+                        spec.equalize).model
+
     for value in spec.values:
         for seed in spec.seeds:
             hidden, layers, q = spec._point(value)
-            model = _train_for_sweep(spec, hidden, layers, seed, cache)
+            model = trained(hidden, layers, seed)
             qmodel = quantize_model(model, q)
             report = layer_error_report(
                 model, q, spec.rms_samples,
@@ -450,7 +444,7 @@ def write_ber_csv(path, curves: list[BerCurve]) -> int:
 def write_latency_csv(path, est: LatencyEstimate) -> int:
     return write_csv(path, "latency.csv", (
         [l.layer_idx, l.macs, l.cycles, f"{l.time_us:.10g}",
-         f"{l.budget_us:.10g}", int(l.ok)] for l in est.layers))
+         f"{est.symbol_duration_us:.10g}", int(l.ok)] for l in est.layers))
 
 
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> int:

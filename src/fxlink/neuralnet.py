@@ -92,7 +92,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 20
     batches_per_epoch: int = 100
-    optimizer: str = "adam"
     seed: int = 0
     snr_range_db: tuple[float, float] = (5.0, 25.0)
 
@@ -102,8 +101,6 @@ class TrainConfig:
         if min(self.batch_size, self.epochs, self.batches_per_epoch) < 1:
             raise ValueError("batch_size, epochs and batches_per_epoch must "
                              "be at least 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         lo, hi = self.snr_range_db
         if hi < lo:
             raise ValueError("snr_range_db must be non-empty")
@@ -177,17 +174,14 @@ class AdamState:
 
 
 def optimizer_step(params, grads, state, cfg: TrainConfig):
-    """One in-place update of a flat vector (net.params); returns state.
+    """One in-place Adam update of a flat vector (net.params); returns state.
 
     Adam uses beta1=0.9, beta2=0.999, eps=1e-8 with bias correction and
-    creates its state when state is None; 'sgd' is the plain rule p - lr*g.
+    creates its state when state is None.
     """
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch {params.shape} vs {grads.shape}")
     lr = cfg.learning_rate
-    if cfg.optimizer == "sgd":
-        params -= lr * grads
-        return state
     b1, b2, eps = 0.9, 0.999, 1e-8
     if state is None:
         state = AdamState(np.zeros_like(params), np.zeros_like(params))
@@ -211,10 +205,6 @@ class QuantizedNet:
     @property
     def fmt(self) -> QFormat:
         return self.layers[0].w.fmt
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
     @property
     def dims(self) -> list[int]:

@@ -64,8 +64,7 @@ class ChannelRealization:
 
     @property
     def noise_variance(self) -> float:
-        if np.isinf(self.snr_db):
-            return 0.0
+        # snr_db = inf gives exactly 0.0
         return 10.0 ** (-self.snr_db / 10.0)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import AutoencoderModel
-from .fixedpoint import BitAllocationError, QFormat, make_qformat
+from .fixedpoint import BitAllocationError, QFormat, make_qformat, quantize
 from .neuralnet import (FCNet, DenseLayer, layer_views, n_params,
                         quantize_net)
 from .ofdmlink import OfdmConfig
@@ -87,13 +87,6 @@ class ModelArtifact:
             # every value here comes from the header
             raise ArtifactError(f"header describes no valid model: {exc!r}") \
                 from exc
-
-
-def _n_off_grid(values: np.ndarray, q: QFormat) -> int:
-    """How many values are not exactly on q's grid and in its range."""
-    raw = np.rint(values * q.scale)
-    return int(np.sum((raw * q.step != values) | (raw < q.raw_min)
-                      | (raw > q.raw_max)))
 
 
 def _encode_header(header: dict) -> bytes:
@@ -192,7 +185,8 @@ def load_artifact(path) -> ModelArtifact:
     payload = np.frombuffer(payload_bytes, dtype="<f8").astype(np.float64)
     if not np.isfinite(payload).all():
         raise ArtifactError("payload holds NaN or inf")
-    if q is not None and (n_off := _n_off_grid(payload, q)):
+    if q is not None and (n_off := np.count_nonzero(
+            quantize(payload, q).values != payload)):
         raise ArtifactError(f"payload values off the declared {q} grid: "
                             f"{n_off}")
     return ModelArtifact(header, payload)

@@ -1,11 +1,15 @@
 """CLI workflows: exit codes, determinism, file outputs."""
 
+import configparser
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from fxlink.cli import main, read_config
+from fxlink.cli import _FIELDS, main, read_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_CONFIG = """\
 [model]
@@ -88,6 +92,15 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "lerning_rate" in capsys.readouterr().err
 
 
+def test_checked_in_configs_show_every_key():
+    shown = set()
+    for ini in CONFIGS.glob("*.ini"):
+        parser = configparser.ConfigParser()
+        parser.read(ini)
+        shown |= {(s, k) for s in parser.sections() for k in parser[s]}
+    assert shown == {(s, k) for s, keys in _FIELDS.items() for k in keys}
+
+
 def test_unknown_section_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[trainer]\nepochs = 2\n")
@@ -96,7 +109,7 @@ def test_unknown_section_exits_1(tmp_path, capsys):
 
 
 BAD_VALUES = {
-    "optimizer": ("train", "[train]\noptimizer = adagrad"),
+    "optimizer": ("train", "[train]\noptimizer = adam"),     # a removed key
     "learning_rate": ("train", "[train]\nlearning_rate = 0"),
     "snr_range": ("train", "[train]\nsnr_min_db = 30\nsnr_max_db = 10"),
     "n_subcarriers": ("train", "[ofdm]\nn_subcarriers = 12"),
@@ -135,7 +148,10 @@ def test_bad_config_value_exits_1(tmp_path, capsys, case):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text + "\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert "fxlink: config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fxlink: config error:" in err
+    if case == "optimizer":
+        assert "'optimizer'" in err
     assert not (tmp_path / "sweep.csv").exists()    # nothing was trained
 
 

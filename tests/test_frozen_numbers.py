@@ -322,7 +322,6 @@ FROZEN = {
     'config.reference.train.cfg.batch_size': 64,
     'config.reference.train.cfg.epochs': 100,
     'config.reference.train.cfg.batches_per_epoch': 200,
-    'config.reference.train.cfg.optimizer': 'adam',
     'config.reference.train.cfg.seed': 0,
     'config.reference.train.cfg.snr_range_db': (5.0, 25.0),
     'config.reference.train.channel': 'rayleigh',
@@ -342,7 +341,6 @@ FROZEN = {
     'config.reference.sweep.train.batch_size': 64,
     'config.reference.sweep.train.epochs': 100,
     'config.reference.sweep.train.batches_per_epoch': 200,
-    'config.reference.sweep.train.optimizer': 'adam',
     'config.reference.sweep.train.seed': 0,
     'config.reference.sweep.train.snr_range_db': (5.0, 25.0),
     'config.reference.sweep.channel': 'rayleigh',
@@ -367,7 +365,6 @@ FROZEN = {
     'config.sweep_bitwidth.train.cfg.batch_size': 64,
     'config.sweep_bitwidth.train.cfg.epochs': 60,
     'config.sweep_bitwidth.train.cfg.batches_per_epoch': 200,
-    'config.sweep_bitwidth.train.cfg.optimizer': 'adam',
     'config.sweep_bitwidth.train.cfg.seed': 0,
     'config.sweep_bitwidth.train.cfg.snr_range_db': (5.0, 25.0),
     'config.sweep_bitwidth.train.channel': 'rayleigh',
@@ -387,7 +384,6 @@ FROZEN = {
     'config.sweep_bitwidth.sweep.train.batch_size': 64,
     'config.sweep_bitwidth.sweep.train.epochs': 60,
     'config.sweep_bitwidth.sweep.train.batches_per_epoch': 200,
-    'config.sweep_bitwidth.sweep.train.optimizer': 'adam',
     'config.sweep_bitwidth.sweep.train.seed': 0,
     'config.sweep_bitwidth.sweep.train.snr_range_db': (5.0, 25.0),
     'config.sweep_bitwidth.sweep.channel': 'rayleigh',
@@ -412,7 +408,6 @@ FROZEN = {
     'config.empty.train.cfg.batch_size': 64,
     'config.empty.train.cfg.epochs': 100,
     'config.empty.train.cfg.batches_per_epoch': 200,
-    'config.empty.train.cfg.optimizer': 'adam',
     'config.empty.train.cfg.seed': 0,
     'config.empty.train.cfg.snr_range_db': (5.0, 25.0),
     'config.empty.train.channel': 'rayleigh',
@@ -432,7 +427,6 @@ FROZEN = {
     'config.empty.sweep.train.batch_size': 64,
     'config.empty.sweep.train.epochs': 100,
     'config.empty.sweep.train.batches_per_epoch': 200,
-    'config.empty.sweep.train.optimizer': 'adam',
     'config.empty.sweep.train.seed': 0,
     'config.empty.sweep.train.snr_range_db': (5.0, 25.0),
     'config.empty.sweep.channel': 'rayleigh',
@@ -455,7 +449,6 @@ FROZEN = {
     'cli.train.cfg.training.batch_size': 64,
     'cli.train.cfg.training.batches_per_epoch': 10,
     'cli.train.cfg.training.snr_range_db': [5.0, 25.0],
-    'cli.train.cfg.training.optimizer': 'adam',
     'cli.train.cfg.training.final_loss': 1.297019157496838,
     'cli.train.seed5.loss.csv': 'fcff19355c7e9b54',
     'cli.train.seed5.payload_sha256': '6e3dab5f10b550dc',
@@ -467,7 +460,6 @@ FROZEN = {
     'cli.train.seed5.training.batch_size': 64,
     'cli.train.seed5.training.batches_per_epoch': 10,
     'cli.train.seed5.training.snr_range_db': [5.0, 25.0],
-    'cli.train.seed5.training.optimizer': 'adam',
     'cli.train.seed5.training.final_loss': 1.2286026080630243,
     'cli.sweep.cfg.sweep.csv': '591f0d769e292e56',
     'cli.sweep.seed4.sweep.csv': '07ba1b9c0dc5ceed',

@@ -147,6 +147,35 @@ def test_layer_report_memory_bounded(ofdm16):
     assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dead_layer_reads_nan_and_the_sweep_keeps_its_row(tmp_path, ofdm16):
+    codec = ae.build_model(ofdm16, 8, 4)
+    hidden, output = codec.decoder.layers
+    hidden.w[...], hidden.b[...] = 0.0, 0.0     # a dead decoder layer
+    output.b[...] = 0.3
+    rep = mx.layer_error_report(codec, Q16, 200, np.random.default_rng(10))
+    assert np.isnan(rep.rel_rms_pct[2])
+    assert np.isfinite(np.delete(rep.rel_rms_pct, 2)).all()
+    out = tmp_path / "layer_error.csv"
+    mx.write_layer_error_csv(out, [rep])
+    with open(out, newline="") as fh:
+        assert [row[3] for row in csv.reader(fh)][3] == "nan"
+
+    spec = mx.SweepSpec(
+        axis="hidden_nodes", values=[8], seeds=[0], ofdm=ofdm16,
+        n_layers=4, train=tiny_train_cfg(), channel="awgn", equalize=False,
+        rms_samples=200, ber_min_bits=10_000, ber_max_bits=20_000)
+    out = tmp_path / "sweep.csv"
+    with mock.patch.object(ae, "train",
+                           return_value=ae.TrainResult(codec, [0.0])):
+        assert mx.write_sweep_csv(
+            out, mx.run_sweep(spec, np.random.default_rng(12345))) == 1
+    with open(out, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [row[:3] for row in table[1:]] == [["hidden_nodes", "8", "0"]]
+    assert np.isfinite(float(table[1][3]))
+
+
 # ---------------------------------------------------------------------------
 # BER sweeps
 # ---------------------------------------------------------------------------
@@ -260,7 +289,7 @@ def test_sweep_bit_width_rows(tmp_path, ofdm16):
         hidden_nodes=16, n_layers=3, train=tiny_train_cfg(),
         channel="awgn", equalize=False, rms_samples=300,
         ber_min_bits=10_000, ber_max_bits=20_000)
-    rows = list(mx.run_sweep(spec))
+    rows = list(mx.run_sweep(spec, np.random.default_rng(12345)))
     assert mx.write_sweep_csv(out, rows) == 3
     rms = [r.final_rms_pct for r in rows]
     assert rms[0] > rms[1] > rms[2]
@@ -277,7 +306,7 @@ def test_sweep_trains_one_model_per_seed(tmp_path, ofdm16):
         channel="awgn", equalize=False, rms_samples=200,
         ber_min_bits=10_000, ber_max_bits=20_000)
     with mock.patch.object(ae, "train", wraps=ae.train) as train:
-        rows = list(mx.run_sweep(spec))
+        rows = list(mx.run_sweep(spec, np.random.default_rng(12345)))
     assert len(rows) == 4
     # one trained model per seed, shared across widths
     assert train.call_count == 2
@@ -294,7 +323,8 @@ def test_sweep_csv_keeps_rows_before_a_failure(tmp_path, ofdm16):
     with mock.patch.object(ae, "train",
                            side_effect=[first, RuntimeError("killed")]):
         with pytest.raises(RuntimeError, match="killed"):
-            mx.write_sweep_csv(out, mx.run_sweep(spec))
+            mx.write_sweep_csv(out, mx.run_sweep(
+                spec, np.random.default_rng(12345)))
     with open(out, newline="") as fh:
         table = list(csv.reader(fh))
     assert table[0] == mx.CSV_SCHEMAS["sweep.csv"]

@@ -186,23 +186,9 @@ def test_backward_batch_matches_sum_of_samples():
 # optimizer
 # ---------------------------------------------------------------------------
 
-def test_sgd_rule():
-    cfg = TrainConfig(learning_rate=0.1, optimizer="sgd")
-    p = np.array([1.0])
-    optimizer_step(p, np.array([2.0]), None, cfg)
-    assert p[0] == pytest.approx(0.8)
-
-
-def test_sgd_zero_gradient_no_change():
-    cfg = TrainConfig(learning_rate=0.5, optimizer="sgd")
-    p = np.array([3.0, -1.0])
-    optimizer_step(p, np.zeros(2), None, cfg)
-    assert np.array_equal(p, [3.0, -1.0])
-
-
 def test_adam_first_step_magnitude():
     # bias-corrected first step is ~lr regardless of gradient scale
-    cfg = TrainConfig(learning_rate=0.01, optimizer="adam")
+    cfg = TrainConfig(learning_rate=0.01)
     for c in (2.0, 1e-3, 500.0):
         p = np.array([1.0])
         optimizer_step(p, np.array([c]), None, cfg)
@@ -212,7 +198,7 @@ def test_adam_first_step_magnitude():
 
 
 def test_optimizer_shape_mismatch():
-    cfg = TrainConfig(optimizer="sgd")
+    cfg = TrainConfig()
     with pytest.raises(ValueError):
         optimizer_step(np.zeros(2), np.zeros(3), None, cfg)
 

@@ -311,3 +311,34 @@ def test_load_rejects_values_off_declared_grid(tmp_path):
     save_on_q16_grid(snapped, path)
     with pytest.raises(ArtifactError, match="declared Q16.3 grid: 2$"):
         load_artifact(path)
+
+
+def n_off_grid(values: np.ndarray, q) -> int:
+    """The grid rule spelled out: how many values are not exactly on q's
+    grid and in its range."""
+    raw = np.rint(values * q.scale)
+    return int(np.sum((raw * q.step != values) | (raw < q.raw_min)
+                      | (raw > q.raw_max)))
+
+
+@pytest.mark.parametrize("bits, int_bits", [(8, 0), (16, 3), (32, 29)])
+def test_declared_grid_edge_cases_follow_the_rule(tmp_path, bits, int_bits):
+    q = fx.make_qformat(bits, int_bits)
+    lo, hi, step = q.min_value, q.max_value, q.step
+    edges = [lo - step / 2, hi + step / 2, lo - step, hi + step, lo, hi,
+             0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, step / 2]
+    head = head_text({**BASE_HEADER, "qformat": {"total_bits": bits,
+                                                 "int_bits": int_bits}})
+    path = tmp_path / "m.fxl"
+    for values in [[v] for v in edges] + [edges]:
+        payload = np.zeros(_SMALL.payload.size)
+        payload[:len(values)] = values
+        path.write_bytes(seal(head, payload.astype("<f8").tobytes()))
+        n_off = n_off_grid(payload, q)
+        if n_off:
+            with pytest.raises(ArtifactError,
+                               match=f"declared {q} grid: {n_off}$"):
+                load_artifact(path)
+        else:
+            assert load_artifact(path).payload.tobytes() == payload.tobytes()
+    assert n_off == 9
