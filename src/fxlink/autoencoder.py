@@ -11,9 +11,10 @@ removal -> FFT round trip of an OFDM symbol is the identity and is not
 run.  The receive side optionally zero-forces the known gains and runs the
 decoder network; decisions are per-axis signs of its output.
 
-Training and inference both run this one chain (_link); the layer-error
-report (metrics.layer_error_report) runs its networks and normalization
-on the noiseless unit-gain link, where the channel is the identity.
+Training, range calibration and inference all run this one chain
+(_link); the layer-error report (metrics.layer_error_report) runs its
+networks and normalization on the noiseless unit-gain link, where the
+channel is the identity.
 Training runs the chain in float with fresh channel gains and noise per
 sample; gradients treat the gains and the noise draw as constants and
 propagate through the (linear) channel and ZF via their adjoints.
@@ -47,23 +48,6 @@ class SymbolBlock:
         return ofdm.to_reals(self.symbols)
 
 
-def encoded_dim(ofdm_cfg: OfdmConfig, rate: float) -> int:
-    """Real-valued encoder output width, 2*N/rate, for a rate in (0, 1]
-    whose N/rate transmitted subcarriers are a whole power of two."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    n_tx = ofdm_cfg.n_subcarriers / rate
-    if abs(n_tx - round(n_tx)) > 5e-10:
-        raise ValueError(f"rate {rate} does not yield a whole "
-                         "number of complex samples")
-    n_tx = round(n_tx)
-    if n_tx & (n_tx - 1):
-        raise ValueError(
-            f"encoded block of {n_tx} complex samples is not a power of "
-            "two; pick a rate that keeps the IFFT radix-2")
-    return 2 * n_tx
-
-
 @dataclass
 class AutoencoderModel:
     """Encoder/decoder pair around the OFDM link: float64 FCNets, or
@@ -74,16 +58,14 @@ class AutoencoderModel:
     encoder: FCNet | QuantizedNet
     decoder: FCNet | QuantizedNet
     ofdm: OfdmConfig
-    rate: float = 1.0
 
     def __post_init__(self):
-        d_in, d_enc = 2 * self.ofdm.n_subcarriers, self.encoded_dim
-        if self.encoder.dims[0] != d_in or self.encoder.dims[-1] != d_enc:
-            raise ValueError(
-                f"encoder must map {d_in} -> {d_enc}, got {self.encoder.dims}")
-        if self.decoder.dims[0] != d_enc or self.decoder.dims[-1] != d_in:
-            raise ValueError(
-                f"decoder must map {d_enc} -> {d_in}, got {self.decoder.dims}")
+        d = 2 * self.ofdm.n_subcarriers
+        for side, net in (("encoder", self.encoder),
+                          ("decoder", self.decoder)):
+            if net.dims[0] != d or net.dims[-1] != d:
+                raise ValueError(
+                    f"{side} must map {d} -> {d}, got {net.dims}")
         if self.encoder.fmt != self.decoder.fmt:
             raise ValueError(f"encoder at {self.encoder.fmt or 'float64'} "
                              "and decoder at "
@@ -97,21 +79,11 @@ class AutoencoderModel:
     def engine(self) -> str:
         return "float" if self.fmt is None else "fixed"
 
-    @property
-    def encoded_dim(self) -> int:
-        """Real-valued encoder output width: 2*N/rate."""
-        return encoded_dim(self.ofdm, self.rate)
-
-    @property
-    def n_tx_subcarriers(self) -> int:
-        """Subcarriers actually transmitted (= N/rate)."""
-        return self.encoded_dim // 2
-
 
 def build_model(ofdm_cfg: OfdmConfig, hidden_nodes: int = 128,
-                total_layers: int = 5, rate: float = 1.0,
-                seed: int = 0) -> AutoencoderModel:
-    """Encoder+decoder pair totaling `total_layers` weight layers.
+                total_layers: int = 5, seed: int = 0) -> AutoencoderModel:
+    """Encoder+decoder pair totaling `total_layers` weight layers, each
+    side mapping the block's 2N reals to 2N reals.
 
     Layers split as evenly as possible, encoder taking the extra one.
     A 1-weight-layer net is a plain affine map (no hidden nodes).
@@ -122,13 +94,11 @@ def build_model(ofdm_cfg: OfdmConfig, hidden_nodes: int = 128,
         raise ValueError("need at least one hidden node")
     n_enc = (total_layers + 1) // 2
     n_dec = total_layers - n_enc
-    d_in = 2 * ofdm_cfg.n_subcarriers
-    d_enc = encoded_dim(ofdm_cfg, rate)
-    enc_dims = [d_in] + [hidden_nodes] * (n_enc - 1) + [d_enc]
-    dec_dims = [d_enc] + [hidden_nodes] * (n_dec - 1) + [d_in]
-    encoder = nn.init_he(enc_dims, seed=seed)
-    decoder = nn.init_he(dec_dims, seed=seed + 1)
-    return AutoencoderModel(encoder, decoder, ofdm_cfg, rate)
+    d = 2 * ofdm_cfg.n_subcarriers
+    encoder = nn.init_he([d] + [hidden_nodes] * (n_enc - 1) + [d], seed=seed)
+    decoder = nn.init_he([d] + [hidden_nodes] * (n_dec - 1) + [d],
+                         seed=seed + 1)
+    return AutoencoderModel(encoder, decoder, ofdm_cfg)
 
 
 def random_block(n_blocks: int, ofdm_cfg: OfdmConfig,
@@ -207,7 +177,7 @@ def end_to_end(model, bits: np.ndarray,
     if bits.shape[-1] != model.ofdm.bits_per_block:
         raise ValueError(
             f"expected {model.ofdm.bits_per_block} bits per block")
-    n_tx = model.n_tx_subcarriers
+    n_tx = model.ofdm.n_subcarriers
     h = realization.h
     if h.shape[-1] != n_tx:
         raise ValueError(f"gain length {h.shape[-1]} != {n_tx}")
@@ -276,11 +246,10 @@ def calibrate_ranges(model: AutoencoderModel,
     reconstruction).
     """
     model = AutoencoderModel(model.encoder.copy(), model.decoder.copy(),
-                             model.ofdm, model.rate)
+                             model.ofdm)
     block = random_block(2000, model.ofdm, rng)
 
-    def rebalance(net, x, skip_last):
-        _, taps = nn.forward_float(net, x)
+    def rebalance(net, taps, skip_last):
         g_prev = 1.0
         for i, layer in enumerate(net.layers):
             if skip_last and i == len(net.layers) - 1:
@@ -292,10 +261,11 @@ def calibrate_ranges(model: AutoencoderModel,
             layer.b[...] *= g
             g_prev = g
 
-    rebalance(model.encoder, block.reals, skip_last=False)
-    enc_out, _ = nn.forward_float(model.encoder, block.reals)
-    dec_in, _ = normalize_power(enc_out)
-    rebalance(model.decoder, dec_in, skip_last=True)
+    rebalance(model.encoder, nn.forward_float(model.encoder, block.reals)[1],
+              skip_last=False)
+    # the decoder's taps on the noiseless unit-gain link
+    _, taps = _link(model, block.reals, 1.0, None, False)
+    rebalance(model.decoder, taps["decoder_layers"], skip_last=True)
     return model
 
 
@@ -321,10 +291,10 @@ def train(model: AutoencoderModel, cfg: TrainConfig, channel: str = "awgn",
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     model = AutoencoderModel(model.encoder.copy(), model.decoder.copy(),
-                             model.ofdm, model.rate)
+                             model.ofdm)
     enc_state = dec_state = None
     history = []
-    n_tx = model.n_tx_subcarriers
+    n_tx = model.ofdm.n_subcarriers
     lo, hi = cfg.snr_range_db
     for _ in range(cfg.epochs):
         epoch_loss = 0.0

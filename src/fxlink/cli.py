@@ -50,8 +50,7 @@ def split_rng(seed: int, stream: int) -> np.random.Generator:
 # is one end of a range); [ofdm] and [train] keys are their fields' names
 _FIELDS = {
     "ofdm": {f.name: ("ofdm", f.name) for f in fields(OfdmConfig)},
-    "model": {"hidden_nodes": ("hidden_nodes",), "layers": ("n_layers",),
-              "rate": ("rate",)},
+    "model": {"hidden_nodes": ("hidden_nodes",), "layers": ("n_layers",)},
     "train": {**{f.name: ("train", f.name) for f in fields(TrainConfig)
                  if f.name != "snr_range_db"},
               "snr_min_db": ("train", "snr_range_db", 0),
@@ -138,7 +137,7 @@ def cmd_train(args) -> int:
     tc = (spec.train if args.seed is None
           else replace(spec.train, seed=args.seed))
     model = ae.build_model(spec.ofdm, spec.hidden_nodes, spec.n_layers,
-                           spec.rate, seed=tc.seed)
+                           seed=tc.seed)
     result = ae.train(model, tc, spec.channel, spec.equalize,
                       rng=split_rng(tc.seed, _STREAM_TRAIN))
     meta = {"channel": spec.channel, "equalize": spec.equalize,
@@ -179,6 +178,8 @@ def cmd_simulate(args) -> int:
     snr_list = _parse_list(args.snr)
     if not snr_list:
         raise ConfigError("--snr needs at least one value")
+    if np.isnan(snr_list).any():
+        raise ConfigError(f"--snr values must be numbers, got {args.snr!r}")
     if args.channel not in CHANNEL_KINDS:
         raise ConfigError(f"unknown channel kind {args.channel!r}")
     try:
@@ -205,7 +206,7 @@ def cmd_simulate(args) -> int:
     rng = split_rng(args.seed, _STREAM_EVM)
     bits = rng.integers(0, 2, size=(2000, model.ofdm.bits_per_block))
     chan = draw_channel(args.channel,
-                        (bits.shape[0], model.n_tx_subcarriers),
+                        (bits.shape[0], model.ofdm.n_subcarriers),
                         snr_list[-1], rng)
     _, taps_f = ae.end_to_end(model, bits, chan,
                               np.random.default_rng(args.seed),

@@ -83,9 +83,8 @@ class LayerErrorReport:
 
 
 def model_id(model) -> str:
-    """Stack dims and rate, plus the Q-format of a quantized model."""
-    mid = "fc" + "-".join(str(d) for d in stack_dims(model)) \
-        + f"_r{model.rate:g}"
+    """Stack dims, _r1 for rate 1, and a quantized model's Q-format."""
+    mid = "fc" + "-".join(str(d) for d in stack_dims(model)) + "_r1"
     if model.fmt is not None:
         mid += f"_{model.fmt}"
     return mid
@@ -108,7 +107,7 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
 
     The networks run on even chunks of at most _MC_CHUNK_BLOCKS blocks and
     only each tap's sums of ref^2 and (test - ref)^2 are kept, so memory
-    beyond the blocks themselves and the [n, encoded_dim] encoder outputs
+    beyond the blocks themselves and the [n, 2N] encoder outputs
     is bounded by one chunk's taps.  The power scale is still one per
     engine over the whole batch, as the link applies it, and that link is
     the identity here, so the decoders run straight on the normalized
@@ -198,17 +197,13 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     4-QAM decisions of the uncoded chain.
     """
     check_ber_budget(min_bits, max_bits)
+    if np.isnan(snr_list).any():
+        raise ValueError(f"SNR points must be numbers, got {snr_list}")
     if rng is None:
         rng = np.random.default_rng(seed)
     uncoded = model is None
-    if uncoded:
-        cfg = OfdmConfig()
-        mid = "uncoded"
-        n_tx = cfg.n_subcarriers
-    else:
-        cfg = model.ofdm
-        mid = model_id(model)
-        n_tx = model.n_tx_subcarriers
+    cfg = OfdmConfig() if uncoded else model.ofdm
+    mid = "uncoded" if uncoded else model_id(model)
     points = []
     for snr_db in snr_list:
         bits_done = 0
@@ -218,7 +213,8 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
             n_blocks = min(_MC_CHUNK_BLOCKS,
                            (max_bits - bits_done) // cfg.bits_per_block)
             n_blocks = max(n_blocks, 1)
-            chan = ofdm.draw_channel(channel, (n_blocks, n_tx), snr_db, rng)
+            chan = ofdm.draw_channel(channel, (n_blocks, cfg.n_subcarriers),
+                                     snr_db, rng)
             tx_bits = rng.integers(0, 2, size=(n_blocks, cfg.bits_per_block))
             if uncoded:
                 rx_bits = _uncoded_chain(tx_bits, chan, rng, equalize)
@@ -324,7 +320,6 @@ class SweepSpec:
     ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     hidden_nodes: int = 128
     n_layers: int = 5
-    rate: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
     channel: str = "rayleigh"
     equalize: bool = True
@@ -343,7 +338,8 @@ class SweepSpec:
             raise ValueError("need at least one seed")
         if self.channel not in ofdm.CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
-        ae.encoded_dim(self.ofdm, self.rate)        # checks the rate
+        if math.isnan(self.ref_snr_db):
+            raise ValueError("ref_snr_db must be a number (inf is noiseless)")
         check_ber_budget(self.ber_min_bits, self.ber_max_bits)
         if self.rms_samples < 1:
             raise ValueError("rms_samples must be at least 1")
@@ -387,8 +383,7 @@ def run_sweep(spec: SweepSpec, rng: np.random.Generator
     """
     @functools.cache
     def trained(hidden: int, layers: int, seed: int) -> AutoencoderModel:
-        model = ae.build_model(spec.ofdm, hidden, layers, spec.rate,
-                               seed=seed)
+        model = ae.build_model(spec.ofdm, hidden, layers, seed=seed)
         return ae.train(model, replace(spec.train, seed=seed), spec.channel,
                         spec.equalize).model
 

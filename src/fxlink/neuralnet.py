@@ -96,14 +96,14 @@ class TrainConfig:
     snr_range_db: tuple[float, float] = (5.0, 25.0)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if min(self.batch_size, self.epochs, self.batches_per_epoch) < 1:
             raise ValueError("batch_size, epochs and batches_per_epoch must "
                              "be at least 1")
         lo, hi = self.snr_range_db
-        if hi < lo:
-            raise ValueError("snr_range_db must be non-empty")
+        if not -np.inf < lo <= hi < np.inf:
+            raise ValueError("snr_range_db must be a finite lo <= hi")
 
 
 def init_he(dims: list[int], seed: int = 0) -> FCNet:

@@ -28,7 +28,6 @@ ZF_SINGULAR_THRESHOLD = 1e-6
 class OfdmConfig:
     n_subcarriers: int = 16
     cp_len: int = 4
-    modulation: str = "qam4"
     sample_rate: float = 1e6
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class OfdmConfig:
             raise ValueError(f"n_subcarriers must be a power of two, got {n}")
         if not 0 <= self.cp_len < n:
             raise ValueError("cp_len must satisfy 0 <= cp_len < n_subcarriers")
-        if self.modulation != "qam4":
-            raise ValueError(f"unsupported modulation {self.modulation!r}")
 
     @property
     def bits_per_block(self) -> int:

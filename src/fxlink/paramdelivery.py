@@ -55,10 +55,10 @@ class ModelArtifact:
                                     model.encoder.layers],
             "decoder_activations": [l.activation for l in
                                     model.decoder.layers],
-            "rate": model.rate,
+            "rate": 1.0,
             "n_subcarriers": model.ofdm.n_subcarriers,
             "cp_len": model.ofdm.cp_len,
-            "modulation": model.ofdm.modulation,
+            "modulation": "qam4",
             "sample_rate": model.ofdm.sample_rate,
             "qformat": None,
             "training": training or {},
@@ -77,12 +77,14 @@ class ModelArtifact:
                               h[f"{side}_activations"])])
 
         try:
+            if h["rate"] != 1.0 or h["modulation"] != "qam4":
+                raise ValueError(f"rate {h['rate']!r} on {h['modulation']!r}"
+                                 " is not the codec's rate 1.0 on qam4")
             return AutoencoderModel(
                 net("encoder", self.payload[:n_enc]),
                 net("decoder", self.payload[n_enc:]),
-                OfdmConfig(h["n_subcarriers"], h["cp_len"], h["modulation"],
-                           h["sample_rate"]),
-                h["rate"])
+                OfdmConfig(h["n_subcarriers"], h["cp_len"],
+                           h["sample_rate"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # every value here comes from the header
             raise ArtifactError(f"header describes no valid model: {exc!r}") \
@@ -101,6 +103,8 @@ def _decode_header(raw: bytes) -> dict:
             key, sep, value = line.partition(": ")
             if not sep:
                 raise ArtifactError(f"malformed header line {line!r}")
+            if key in header:
+                raise ArtifactError(f"header key {key!r} appears twice")
             header[key] = json.loads(value)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ArtifactError(f"malformed header: {exc}") from exc
@@ -201,4 +205,4 @@ def quantize_model(model: AutoencoderModel, q: QFormat) -> AutoencoderModel:
     QuantizedNets, each counting its saturated parameters (not fatal)."""
     return AutoencoderModel(quantize_net(model.encoder, q),
                             quantize_net(model.decoder, q),
-                            model.ofdm, model.rate)
+                            model.ofdm)

@@ -12,16 +12,8 @@ from fxlink import ofdmlink as ofdm
 def noiseless_link(model, x):
     """The float link over unit gains, without noise or ZF: decoder output
     and taps."""
-    h = np.ones(model.n_tx_subcarriers, dtype=complex)
+    h = np.ones(model.ofdm.n_subcarriers, dtype=complex)
     return ae._link(model, x, h, None, equalize=False)
-
-
-def test_encoded_length_follows_rate(ofdm16):
-    model = ae.build_model(ofdm16, 16, 4, rate=0.5, seed=0)
-    assert model.encoded_dim == 64          # 2*N/rate = 2*16/0.5
-    assert model.n_tx_subcarriers == 32
-    r = ae.random_block(1, ofdm16, np.random.default_rng(0)).reals[0]
-    assert noiseless_link(model, r)[1]["encoded"].shape == (64,)
 
 
 def test_build_model_rejects_empty_shapes(ofdm16):
@@ -29,12 +21,6 @@ def test_build_model_rejects_empty_shapes(ofdm16):
         ae.build_model(ofdm16, 16, 1)
     with pytest.raises(ValueError, match="hidden node"):
         ae.build_model(ofdm16, 0, 3)
-
-
-def test_rate_times_encoded_equals_information(ofdm16):
-    for rate in (1.0, 0.5, 0.25):
-        model = ae.build_model(ofdm16, 8, 2, rate=rate, seed=0)
-        assert model.encoded_dim * rate == 2 * ofdm16.n_subcarriers
 
 
 def test_encode_unit_power(ofdm16):
@@ -226,12 +212,11 @@ def test_model_rejects_mixed_formats(awgn_model):
             (fx.quantize_model(awgn_model, q8).decoder, "Q16.3.*Q8.3"),
             (awgn_model.decoder, "Q16.3.*float64")):
         with pytest.raises(ValueError, match=names):
-            ae.AutoencoderModel(enc16, decoder, awgn_model.ofdm,
-                                awgn_model.rate)
+            ae.AutoencoderModel(enc16, decoder, awgn_model.ofdm)
     with pytest.raises(ValueError, match="float64.*Q16.3"):
         ae.AutoencoderModel(awgn_model.encoder,
                             fx.quantize_model(awgn_model, q16).decoder,
-                            awgn_model.ofdm, awgn_model.rate)
+                            awgn_model.ofdm)
 
 
 def test_fixed_32bit_matches_float_decisions(awgn_model, ofdm16):
@@ -262,8 +247,7 @@ def test_calibration_preserves_function_and_bounds_taps(ofdm16):
     # scaling a relu layer by 2 and the next layer's weights by 1/2 keeps
     # the function; recalibrating moves the parameters, not the output
     scaled = ae.AutoencoderModel(trained.encoder.copy(),
-                                 trained.decoder.copy(), trained.ofdm,
-                                 trained.rate)
+                                 trained.decoder.copy(), trained.ofdm)
     first, second = scaled.encoder.layers[:2]
     first.w[...] *= 2.0
     first.b[...] *= 2.0

@@ -111,12 +111,15 @@ def test_unknown_section_exits_1(tmp_path, capsys):
 BAD_VALUES = {
     "optimizer": ("train", "[train]\noptimizer = adam"),     # a removed key
     "learning_rate": ("train", "[train]\nlearning_rate = 0"),
+    "learning_rate_nan": ("train", "[train]\nlearning_rate = nan"),
     "snr_range": ("train", "[train]\nsnr_min_db = 30\nsnr_max_db = 10"),
+    "snr_min_nan": ("train", "[train]\nsnr_min_db = nan"),
+    "snr_max_inf": ("train", "[train]\nsnr_max_db = inf"),
     "n_subcarriers": ("train", "[ofdm]\nn_subcarriers = 12"),
-    "modulation": ("train", "[ofdm]\nmodulation = qam16"),
+    "modulation": ("train", "[ofdm]\nmodulation = qam4"),     # removed
     "train_kind": ("train", "[channel]\nkind = rician"),
     "equalize": ("train", "[channel]\nequalize = maybe"),
-    "rate": ("train", "[model]\nrate = 2"),
+    "rate": ("train", "[model]\nrate = 1"),                 # removed
     "layers": ("train", "[model]\nlayers = 1"),
     "hidden_nodes": ("train", "[model]\nhidden_nodes = 0"),
     "epochs": ("train", "[train]\nepochs = 0"),
@@ -134,11 +137,10 @@ BAD_VALUES = {
     "seeds_empty": ("sweep", "[sweep]\nseeds ="),
     "sweep_kind": ("sweep", "[channel]\nkind = rician"),
     "bits": ("sweep", "[quantize]\nbits = 40"),
-    "sweep_rate": ("sweep", "[model]\nrate = 2"),
-    "sweep_rate_fraction": ("sweep", "[model]\nrate = 0.3"),
     "ber_max_bits": ("sweep", "[sweep]\nber_max_bits = 0"),
     "ber_min_bits": ("sweep", "[sweep]\nber_min_bits = 100"),
     "rms_samples": ("sweep", "[sweep]\nrms_samples = 0"),
+    "ref_snr_nan": ("sweep", "[sweep]\nref_snr_db = nan"),
 }
 
 
@@ -150,8 +152,8 @@ def test_bad_config_value_exits_1(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "fxlink: config error:" in err
-    if case == "optimizer":
-        assert "'optimizer'" in err
+    if case in ("optimizer", "modulation", "rate"):    # removed keys
+        assert f"'{case}'" in err
     assert not (tmp_path / "sweep.csv").exists()    # nothing was trained
 
 
@@ -224,7 +226,7 @@ def test_simulate_bad_budget_exits_1(trained_artifact, tmp_path, capsys):
     # rejected before the Monte-Carlo runs, so no ber.csv is written
     out = tmp_path / "sim"
     for bad in (["--rms-samples", "0"], ["--bits-min", "100"],
-                ["--bits-max", "0"]):
+                ["--bits-max", "0"], ["--snr", "nan"]):
         assert main(["simulate", str(trained_artifact), "--snr", "10",
                      *bad, "--out", str(out)]) == 1, bad
         assert "fxlink: config error:" in capsys.readouterr().err

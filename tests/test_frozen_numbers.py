@@ -202,7 +202,7 @@ def config_values(tmp_path):
                 "train": {"ofdm": asdict(b["ofdm_cfg"]),
                           "hidden_nodes": b["hidden_nodes"],
                           "total_layers": b["total_layers"],
-                          "rate": b["rate"], "model_seed": b["seed"],
+                          "model_seed": b["seed"],
                           "cfg": asdict(t["cfg"]), "channel": t["channel"],
                           "equalize": t["equalize"],
                           "rng": first_draw(t["rng"])},
@@ -312,11 +312,9 @@ FROZEN = {
     'latency.csv': 'b16524797a5897a2',
     'config.reference.train.ofdm.n_subcarriers': 16,
     'config.reference.train.ofdm.cp_len': 4,
-    'config.reference.train.ofdm.modulation': 'qam4',
     'config.reference.train.ofdm.sample_rate': 1000000.0,
     'config.reference.train.hidden_nodes': 128,
     'config.reference.train.total_layers': 5,
-    'config.reference.train.rate': 1.0,
     'config.reference.train.model_seed': 0,
     'config.reference.train.cfg.learning_rate': 0.001,
     'config.reference.train.cfg.batch_size': 64,
@@ -332,11 +330,9 @@ FROZEN = {
     'config.reference.sweep.seeds': [0],
     'config.reference.sweep.ofdm.n_subcarriers': 16,
     'config.reference.sweep.ofdm.cp_len': 4,
-    'config.reference.sweep.ofdm.modulation': 'qam4',
     'config.reference.sweep.ofdm.sample_rate': 1000000.0,
     'config.reference.sweep.hidden_nodes': 128,
     'config.reference.sweep.n_layers': 5,
-    'config.reference.sweep.rate': 1.0,
     'config.reference.sweep.train.learning_rate': 0.001,
     'config.reference.sweep.train.batch_size': 64,
     'config.reference.sweep.train.epochs': 100,
@@ -355,11 +351,9 @@ FROZEN = {
     'config.reference.sweep.rng': 7731686665370224177,
     'config.sweep_bitwidth.train.ofdm.n_subcarriers': 16,
     'config.sweep_bitwidth.train.ofdm.cp_len': 4,
-    'config.sweep_bitwidth.train.ofdm.modulation': 'qam4',
     'config.sweep_bitwidth.train.ofdm.sample_rate': 1000000.0,
     'config.sweep_bitwidth.train.hidden_nodes': 128,
     'config.sweep_bitwidth.train.total_layers': 5,
-    'config.sweep_bitwidth.train.rate': 1.0,
     'config.sweep_bitwidth.train.model_seed': 0,
     'config.sweep_bitwidth.train.cfg.learning_rate': 0.001,
     'config.sweep_bitwidth.train.cfg.batch_size': 64,
@@ -375,11 +369,9 @@ FROZEN = {
     'config.sweep_bitwidth.sweep.seeds': [0, 1, 2],
     'config.sweep_bitwidth.sweep.ofdm.n_subcarriers': 16,
     'config.sweep_bitwidth.sweep.ofdm.cp_len': 4,
-    'config.sweep_bitwidth.sweep.ofdm.modulation': 'qam4',
     'config.sweep_bitwidth.sweep.ofdm.sample_rate': 1000000.0,
     'config.sweep_bitwidth.sweep.hidden_nodes': 128,
     'config.sweep_bitwidth.sweep.n_layers': 5,
-    'config.sweep_bitwidth.sweep.rate': 1.0,
     'config.sweep_bitwidth.sweep.train.learning_rate': 0.001,
     'config.sweep_bitwidth.sweep.train.batch_size': 64,
     'config.sweep_bitwidth.sweep.train.epochs': 60,
@@ -398,11 +390,9 @@ FROZEN = {
     'config.sweep_bitwidth.sweep.rng': 7731686665370224177,
     'config.empty.train.ofdm.n_subcarriers': 16,
     'config.empty.train.ofdm.cp_len': 4,
-    'config.empty.train.ofdm.modulation': 'qam4',
     'config.empty.train.ofdm.sample_rate': 1000000.0,
     'config.empty.train.hidden_nodes': 128,
     'config.empty.train.total_layers': 5,
-    'config.empty.train.rate': 1.0,
     'config.empty.train.model_seed': 0,
     'config.empty.train.cfg.learning_rate': 0.001,
     'config.empty.train.cfg.batch_size': 64,
@@ -418,11 +408,9 @@ FROZEN = {
     'config.empty.sweep.seeds': [0],
     'config.empty.sweep.ofdm.n_subcarriers': 16,
     'config.empty.sweep.ofdm.cp_len': 4,
-    'config.empty.sweep.ofdm.modulation': 'qam4',
     'config.empty.sweep.ofdm.sample_rate': 1000000.0,
     'config.empty.sweep.hidden_nodes': 128,
     'config.empty.sweep.n_layers': 5,
-    'config.empty.sweep.rate': 1.0,
     'config.empty.sweep.train.learning_rate': 0.001,
     'config.empty.sweep.train.batch_size': 64,
     'config.empty.sweep.train.epochs': 100,

@@ -233,6 +233,11 @@ def test_ber_min_bits_guard(awgn_model):
         mx.ber_sweep(awgn_model, "float", "awgn", [10.0], min_bits=5000)
 
 
+def test_ber_rejects_nan_snr():
+    with pytest.raises(ValueError, match="SNR points"):
+        mx.ber_sweep(None, "uncoded", "awgn", [10.0, np.nan], seed=0)
+
+
 # ---------------------------------------------------------------------------
 # latency
 # ---------------------------------------------------------------------------
@@ -354,10 +359,11 @@ def test_sweep_rejects_bad_spec(ofdm16):
                      hidden_nodes=0)
     with pytest.raises(ValueError, match="base model"):
         mx.SweepSpec(axis="n_layers", values=[3], seeds=[0], n_layers=1)
-    for rate, msg in ((2.0, "rate must be"), (0.3, "whole number"),
-                      (2 / 3, "power of two")):
-        with pytest.raises(ValueError, match=msg):
-            mx.SweepSpec(axis="bit_width", values=[8], seeds=[0], rate=rate)
+    with pytest.raises(ValueError, match="ref_snr_db"):
+        mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
+                     ref_snr_db=np.nan)
+    mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
+                 ref_snr_db=np.inf)             # a noiseless link
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fxlink.paramdelivery import (MAGIC, ArtifactError, ChecksumMismatch,
                                   save_model)
 
 Q16 = fx.make_qformat(16, 3)
+FORMAT_MD = Path(__file__).resolve().parent.parent / "FORMAT.md"
 
 
 def fresh_model(seed=0, hidden=24, layers=5):
@@ -68,6 +71,13 @@ MALFORMED = {
     "unknown_activation": lambda h, p: (
         head_text({**h, "encoder_activations": ["relu", "tanh"]}), p),
     "rate_does_not_fit_dims": lambda h, p: (head_text({**h, "rate": 0.5}), p),
+    "modulation_not_qam4": lambda h, p: (
+        head_text({**h, "modulation": "qam16"}), p),
+    "duplicate_key": lambda h, p: (head_text(h) + b"cp_len: 2\n", p),
+    # a consistent chain and payload, but the codec must map 8 -> 8
+    "codec_narrows": lambda h, p: (
+        head_text({**h, "encoder_dims": [8, 8, 4], "decoder_dims": [4, 8]}),
+        p[:8 * n_params([8, 8, 4]) + 8 * n_params([4, 8])]),
     # 8 -> 16 holds as many values as 8 -> 8 -> 8, but 16 != 8
     "dims_chain_broken": lambda h, p: (
         head_text({**h, "encoder_dims": [8, 16],
@@ -101,7 +111,15 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(la.b, lb.b)
         assert la.activation == lb.activation
     assert loaded.ofdm == model.ofdm
-    assert loaded.rate == model.rate
+
+
+def test_format_md_lists_every_header_key(tmp_path):
+    # the backticked first column of FORMAT.md's header table
+    section = FORMAT_MD.read_text().split("\n## Header\n")[1]
+    documented = re.findall(r"^\| `(\w+)` \|", section.split("\n## ")[0],
+                            re.M)
+    written = save_model(fresh_model(), tmp_path / "m.fxl").header
+    assert sorted(documented) == sorted(written)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -255,7 +273,7 @@ def test_quantize_idempotent(tmp_path):
     model = fresh_model(10)
     qm = quantize_model(model, Q16)
     back = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
-                               model.ofdm, model.rate)
+                               model.ofdm)
     qm2 = quantize_model(back, Q16)
     assert qm2.encoder.saturated_params + qm2.decoder.saturated_params == 0
     for a, b in zip(qm.encoder.layers, qm2.encoder.layers):
@@ -300,7 +318,7 @@ def test_load_rejects_values_off_declared_grid(tmp_path):
     model = fresh_model(13)
     qm = quantize_model(model, Q16)
     snapped = ae.AutoencoderModel(snap(qm.encoder), snap(qm.decoder),
-                                  model.ofdm, model.rate)
+                                  model.ofdm)
     path = tmp_path / "m.fxl"
     save_on_q16_grid(snapped, path)
     assert load_artifact(path).header["qformat"] == {"total_bits": 16,
