@@ -178,8 +178,8 @@ def cmd_simulate(args) -> int:
     snr_list = _parse_list(args.snr)
     if not snr_list:
         raise ConfigError("--snr needs at least one value")
-    if np.isnan(snr_list).any():
-        raise ConfigError(f"--snr values must be numbers, got {args.snr!r}")
+    if not (np.asarray(snr_list) > -np.inf).all():
+        raise ConfigError(f"--snr values must be above -inf, got {args.snr!r}")
     if args.channel not in CHANNEL_KINDS:
         raise ConfigError(f"unknown channel kind {args.channel!r}")
     try:

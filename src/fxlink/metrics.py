@@ -197,8 +197,8 @@ def ber_sweep(model, engine: str, channel: str, snr_list,
     4-QAM decisions of the uncoded chain.
     """
     check_ber_budget(min_bits, max_bits)
-    if np.isnan(snr_list).any():
-        raise ValueError(f"SNR points must be numbers, got {snr_list}")
+    if not (np.asarray(snr_list) > -np.inf).all():
+        raise ValueError(f"SNR points must be above -inf, got {snr_list}")
     if rng is None:
         rng = np.random.default_rng(seed)
     uncoded = model is None
@@ -338,8 +338,8 @@ class SweepSpec:
             raise ValueError("need at least one seed")
         if self.channel not in ofdm.CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel!r}")
-        if math.isnan(self.ref_snr_db):
-            raise ValueError("ref_snr_db must be a number (inf is noiseless)")
+        if not self.ref_snr_db > -math.inf:
+            raise ValueError("ref_snr_db must be above -inf (inf: noiseless)")
         check_ber_budget(self.ber_min_bits, self.ber_max_bits)
         if self.rms_samples < 1:
             raise ValueError("rms_samples must be at least 1")

@@ -141,6 +141,7 @@ BAD_VALUES = {
     "ber_min_bits": ("sweep", "[sweep]\nber_min_bits = 100"),
     "rms_samples": ("sweep", "[sweep]\nrms_samples = 0"),
     "ref_snr_nan": ("sweep", "[sweep]\nref_snr_db = nan"),
+    "ref_snr_neg_inf": ("sweep", "[sweep]\nref_snr_db = -inf"),
 }
 
 
@@ -226,7 +227,8 @@ def test_simulate_bad_budget_exits_1(trained_artifact, tmp_path, capsys):
     # rejected before the Monte-Carlo runs, so no ber.csv is written
     out = tmp_path / "sim"
     for bad in (["--rms-samples", "0"], ["--bits-min", "100"],
-                ["--bits-max", "0"], ["--snr", "nan"]):
+                ["--bits-max", "0"], ["--snr", "nan"],
+                ["--snr", "10,-inf"]):
         assert main(["simulate", str(trained_artifact), "--snr", "10",
                      *bad, "--out", str(out)]) == 1, bad
         assert "fxlink: config error:" in capsys.readouterr().err

@@ -234,8 +234,9 @@ def test_ber_min_bits_guard(awgn_model):
 
 
 def test_ber_rejects_nan_snr():
-    with pytest.raises(ValueError, match="SNR points"):
-        mx.ber_sweep(None, "uncoded", "awgn", [10.0, np.nan], seed=0)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="SNR points"):
+            mx.ber_sweep(None, "uncoded", "awgn", [10.0, bad], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +360,10 @@ def test_sweep_rejects_bad_spec(ofdm16):
                      hidden_nodes=0)
     with pytest.raises(ValueError, match="base model"):
         mx.SweepSpec(axis="n_layers", values=[3], seeds=[0], n_layers=1)
-    with pytest.raises(ValueError, match="ref_snr_db"):
-        mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
-                     ref_snr_db=np.nan)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="ref_snr_db"):
+            mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
+                         ref_snr_db=bad)
     mx.SweepSpec(axis="bit_width", values=[8], seeds=[0],
                  ref_snr_db=np.inf)             # a noiseless link
 

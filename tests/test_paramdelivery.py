@@ -44,6 +44,10 @@ def seal(head: bytes, payload: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
+def without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
 NAN = np.array(np.nan, dtype="<f8").tobytes()
 INF = np.array(np.inf, dtype="<f8").tobytes()
 
@@ -59,12 +63,14 @@ MALFORMED = {
         head_text({**h, "encoder_dims": [8, -8, 8]}), p),
     "huge_dims": lambda h, p: (
         head_text({**h, "decoder_dims": [8, 2 ** 62]}), p),
-    "bad_json": lambda h, p: (head_text(h) + b"rate: {\n", p),
+    # each appended key is first dropped, so the line is not a repeat
+    "bad_json": lambda h, p: (head_text(without(h, "rate")) + b"rate: {\n",
+                              p),
     "deep_json": lambda h, p: (
-        head_text(h) + b"training: " + b"[" * 10 ** 5 + b"]" * 10 ** 5
-        + b"\n", p),
+        head_text(without(h, "training")) + b"training: "
+        + b"[" * 10 ** 5 + b"]" * 10 ** 5 + b"\n", p),
     "non_ascii_header": lambda h, p: (
-        head_text(h) + b'modulation: "qam\xe9"\n', p),
+        head_text(without(h, "modulation")) + b'modulation: "qam\xe9"\n', p),
     "no_n_subcarriers": lambda h, p: (
         head_text({k: v for k, v in h.items() if k != "n_subcarriers"}), p),
     "rate_as_string": lambda h, p: (head_text({**h, "rate": "1"}), p),
@@ -96,6 +102,15 @@ MALFORMED = {
     # He weights are not multiples of Q16.3's step
     "payload_off_declared_grid": lambda h, p: (
         head_text({**h, "qformat": {"total_bits": 16, "int_bits": 3}}), p),
+}
+
+# the error each header-syntax case must reach, so that a check which fires
+# earlier cannot hide the decoder's own handler
+MALFORMED_MESSAGE = {
+    "bad_json": "malformed header: Expecting",
+    "deep_json": "malformed header: maximum recursion",
+    "non_ascii_header": "malformed header: 'ascii' codec",
+    "duplicate_key": "'cp_len' appears twice",
 }
 
 
@@ -193,7 +208,7 @@ def test_malformed_artifact_raises_artifact_error(tmp_path, case):
     path.write_bytes(seal(head_text(BASE_HEADER), BASE_PAYLOAD))
     load_artifact(path).to_model()      # the re-sealed original is valid
     path.write_bytes(seal(*MALFORMED[case](BASE_HEADER, BASE_PAYLOAD)))
-    with pytest.raises(ArtifactError):
+    with pytest.raises(ArtifactError, match=MALFORMED_MESSAGE.get(case)):
         load_artifact(path).to_model()
 
 
