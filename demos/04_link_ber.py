@@ -9,6 +9,8 @@ Three measurements on one trained codec:
     one can
 """
 
+import numpy as np
+
 import fxlink as fx
 from fxlink import autoencoder as ae
 from fxlink import metrics as mx
@@ -23,12 +25,12 @@ cfg = fx.TrainConfig(epochs=60, batches_per_epoch=200, seed=0,
 model = ae.train(model, cfg, channel="rayleigh", equalize=True).model
 qmodel = fx.quantize_model(model, fx.make_qformat(16, 3))
 
-uncoded = mx.ber_sweep(None, "float", "rayleigh", snrs, min_bits=100_000,
-                       seed=1)
-flt = mx.ber_sweep(model, "float", "rayleigh", snrs, min_bits=100_000,
-                   seed=2)
-fxd = mx.ber_sweep(qmodel, "fixed", "rayleigh", snrs, min_bits=100_000,
-                   seed=2)
+uncoded = mx.ber_sweep(None, "float", "rayleigh", snrs, 100_000, 2_000_000,
+                       np.random.default_rng(1))
+flt = mx.ber_sweep(model, "float", "rayleigh", snrs, 100_000, 2_000_000,
+                   np.random.default_rng(2))
+fxd = mx.ber_sweep(qmodel, "fixed", "rayleigh", snrs, 100_000, 2_000_000,
+                   np.random.default_rng(2))
 
 print(f"\nRayleigh + ZF {'SNR':>6} {'uncoded':>12} {'float':>12} "
       f"{'fixed Q16.3':>12}")
@@ -46,7 +48,8 @@ for layers in (2, 5):
                        snr_range_db=(5.0, 25.0))
     m = ae.train(m, c, channel="rayleigh_block", equalize=False).model
     curve = mx.ber_sweep(m, "float", "rayleigh_block", [25.0, 30.0],
-                         min_bits=100_000, seed=3, equalize=False)
+                         100_000, 2_000_000, np.random.default_rng(3),
+                         equalize=False)
     print(f"{layers:>7} {curve.points[0].ber:>12.3e} "
           f"{curve.points[1].ber:>12.3e}")
 print("Without channel knowledge the affine codec is at chance; depth "

@@ -5,11 +5,13 @@ values [re0, im0, re1, im1, ...] that both networks read and write, and
 ofdmlink.to_complex/to_reals reinterpret that memory as symbols for the
 channel and ZF, without a copy.  The transmit side modulates bits to 4-QAM
 symbols, feeds their reals to the encoder network and normalizes the
-encoded block to unit average power per complex sample.  The channel acts
-per subcarrier (y_k = h_k x_k + noise), so the unitary IFFT -> CP -> CP
-removal -> FFT round trip of an OFDM symbol is the identity and is not
-run.  The receive side optionally zero-forces the known gains and runs the
-decoder network; decisions are per-axis signs of its output.
+encoded block to unit average power per complex sample.  The channel
+stage is ofdmlink.apply_channel, the one the uncoded reference chain
+(metrics.ber_sweep with model=None) runs too; it acts per subcarrier
+(y_k = h_k x_k + noise), so the unitary IFFT -> CP -> CP removal -> FFT
+round trip of an OFDM symbol is the identity and is not run.  The receive
+side optionally zero-forces the known gains and runs the decoder network;
+decisions are per-axis signs of its output.
 
 Training, range calibration and inference all run this one chain
 (_link); the layer-error report (metrics.layer_error_report) runs its
@@ -125,23 +127,22 @@ def normalize_power(x: np.ndarray):
 # The link: one forward for training and inference
 # ---------------------------------------------------------------------------
 
-def _link(model, x0, h, noise, equalize):
-    """Encoder -> normalize_power -> y = h*x + noise -> optional ZF ->
-    decoder, per subcarrier.
+def _link(model, x0, chan, rng, equalize):
+    """Encoder -> normalize_power -> ofdmlink.apply_channel -> optional ZF
+    -> decoder, per subcarrier.
 
-    The networks run nn.forward_float for a float model and
-    nn.forward_fixed for a quantized one; noise=None is a noiseless link.
-    Returns (decoder_out, taps).
+    The channel stage is the uncoded reference chain's: the realization
+    chan's gains and noise, drawn from rng after the encoder, which draws
+    nothing.  The networks run nn.forward_float for a float model and
+    nn.forward_fixed for a quantized one.  Returns (decoder_out, taps).
     """
     # looked up on the module per call, so a wrapper installed there sees it
     fwd = nn.forward_float if model.fmt is None else nn.forward_fixed
     enc_out, enc_layers = fwd(model.encoder, x0)
     encoded, scale = normalize_power(enc_out)
-    rx_freq = h * ofdm.to_complex(encoded)
-    if noise is not None:
-        rx_freq += noise
+    rx_freq = ofdm.apply_channel(ofdm.to_complex(encoded), chan, rng)
     if equalize:
-        rx_freq = ofdm.equalize_zf(rx_freq, h)
+        rx_freq = ofdm.equalize_zf(rx_freq, chan.h)
     dec_in = ofdm.to_reals(rx_freq)
     dec_out, dec_layers = fwd(model.decoder, dec_in)
     taps = {
@@ -177,16 +178,8 @@ def end_to_end(model, bits: np.ndarray,
     if bits.shape[-1] != model.ofdm.bits_per_block:
         raise ValueError(
             f"expected {model.ofdm.bits_per_block} bits per block")
-    n_tx = model.ofdm.n_subcarriers
-    h = realization.h
-    if h.shape[-1] != n_tx:
-        raise ValueError(f"gain length {h.shape[-1]} != {n_tx}")
     tx_symbols = ofdm.qam4_modulate(bits)
-    # the encoder draws nothing, so drawing the noise first keeps the
-    # rng stream of the chain
-    noise = ofdm.draw_noise(bits.shape[:-1] + (n_tx,),
-                            realization.noise_variance, rng)
-    dec_out, taps = _link(model, ofdm.to_reals(tx_symbols), h, noise,
+    dec_out, taps = _link(model, ofdm.to_reals(tx_symbols), realization, rng,
                           equalize)
     rx_symbols = ofdm.to_complex(dec_out)
     decoded = ofdm.qam4_demodulate(rx_symbols)
@@ -200,14 +193,15 @@ def end_to_end(model, bits: np.ndarray,
 # Training (float only; quantization happens after delivery)
 # ---------------------------------------------------------------------------
 
-def chain_loss_and_grads(model, x0, h, noise, equalize=True):
+def chain_loss_and_grads(model, x0, chan, rng, equalize=True):
     """Loss and exact parameter gradients through the whole link.
 
-    The gains h and the additive noise draw are treated as constants, so
-    this matches finite differences of the loss at fixed h and noise.
+    The gains chan.h and the noise drawn from rng are treated as
+    constants, so this matches finite differences of the loss at fixed
+    gains and noise (an rng in the same state for every evaluation).
     Returns (loss, enc_grads, dec_grads), each laid out like its params.
     """
-    r_hat, taps = _link(model, x0, h, noise, equalize)
+    r_hat, taps = _link(model, x0, chan, rng, equalize)
     diff = r_hat - x0
     batch_loss = float(np.mean(diff ** 2))
     dec_grads, g_dec_in = nn._backward_from(
@@ -215,7 +209,7 @@ def chain_loss_and_grads(model, x0, h, noise, equalize=True):
         2.0 * diff / diff.size)
     # real-interleaved gradient -> complex convention (d/dRe + j d/dIm)
     g_c = ofdm.to_complex(g_dec_in)
-    h_conj = np.conj(h)
+    h_conj = np.conj(chan.h)
     if equalize:                        # adjoint of y/h is ZF by conj(h)
         g_c = ofdm.equalize_zf(g_c, h_conj)
     g_encoded = ofdm.to_reals(h_conj * g_c)     # channel y = h*x + eps
@@ -263,8 +257,9 @@ def calibrate_ranges(model: AutoencoderModel,
 
     rebalance(model.encoder, nn.forward_float(model.encoder, block.reals)[1],
               skip_last=False)
-    # the decoder's taps on the noiseless unit-gain link
-    _, taps = _link(model, block.reals, 1.0, None, False)
+    # the decoder's taps on the noiseless unit-gain link, drawing nothing
+    unit = ofdm.draw_channel("awgn", model.ofdm.n_subcarriers, np.inf, rng)
+    _, taps = _link(model, block.reals, unit, rng, False)
     rebalance(model.decoder, taps["decoder_layers"], skip_last=True)
     return model
 
@@ -301,13 +296,11 @@ def train(model: AutoencoderModel, cfg: TrainConfig, channel: str = "awgn",
         for _ in range(cfg.batches_per_epoch):
             block = random_block(cfg.batch_size, model.ofdm, rng)
             x0 = block.reals
-            chan = ofdm.draw_channel(channel, (cfg.batch_size, n_tx),
-                                     0.0, rng)
+            h = ofdm.draw_channel(channel, (cfg.batch_size, n_tx), 0.0,
+                                  rng).h
             snr = rng.uniform(lo, hi, size=(cfg.batch_size, 1))
-            noise = ofdm.draw_noise((cfg.batch_size, n_tx),
-                                    10.0 ** (-snr / 10.0), rng)
             batch_loss, enc_g, dec_g = chain_loss_and_grads(
-                model, x0, chan.h, noise, equalize)
+                model, x0, ofdm.ChannelRealization(h, snr), rng, equalize)
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"loss became {batch_loss} at epoch {len(history) + 1}")

@@ -69,7 +69,6 @@ class LayerErrorReport:
     rel_rms_pct: list[float]      # encoder layers then decoder layers;
                                   # NaN where the float tap is all zeros
     bit_width: int
-    int_bits: int
     model_id: str
     n_samples: int
 
@@ -148,8 +147,8 @@ def layer_error_report(model: AutoencoderModel, q: QFormat, n_samples: int,
     run(model.decoder, qmodel.decoder, f_enc, q_enc, n_enc)
     errors = np.divide(100.0 * np.sqrt(err_ss), np.sqrt(ref_ss),
                        out=np.full_like(ref_ss, np.nan), where=ref_ss > 0)
-    return LayerErrorReport(errors.tolist(), q.total_bits, q.int_bits,
-                            model_id(model), n_samples)
+    return LayerErrorReport(errors.tolist(), q.total_bits, model_id(model),
+                            n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +183,20 @@ def check_ber_budget(min_bits: int, max_bits: int) -> None:
                          f"got {min_bits} and {max_bits}")
 
 
-def ber_sweep(model, engine: str, channel: str, snr_list,
-              min_bits: int = 100_000, max_bits: int = 2_000_000,
-              rng: np.random.Generator | None = None, seed: int = 0,
+def ber_sweep(model, engine: str, channel: str, snr_list, min_bits: int,
+              max_bits: int, rng: np.random.Generator,
               equalize: bool = True) -> BerCurve:
-    """Monte-Carlo BER over the end-to-end chain.
+    """Monte-Carlo BER over the end-to-end chain, drawing from rng.
 
     Each SNR point accumulates blocks until at least 100 bit errors have
     been seen and min_bits simulated, or max_bits is reached.  model=None
-    runs the uncoded reference chain: 4-QAM straight onto the subcarriers,
-    no networks.  equalize selects ZF before the decoder, or before the
-    4-QAM decisions of the uncoded chain.
+    runs the uncoded reference chain: 4-QAM straight onto the subcarriers
+    through the codec's channel stage, no networks.  equalize selects ZF
+    before the decoder, or before the 4-QAM decisions of the uncoded chain.
     """
     check_ber_budget(min_bits, max_bits)
     if not (np.asarray(snr_list) > -np.inf).all():
         raise ValueError(f"SNR points must be above -inf, got {snr_list}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     uncoded = model is None
     cfg = OfdmConfig() if uncoded else model.ofdm
     mid = "uncoded" if uncoded else model_id(model)
@@ -283,9 +279,9 @@ def estimate_latency(dims, parallel_macs: int, pipeline_depth: int,
     is under one OFDM symbol duration (N + CP samples).  The pass check
     cross-multiplies integers so no floating-point rounding is involved.
     """
-    if parallel_macs < 1 or pipeline_depth < 0 or f_clk <= 0:
+    if parallel_macs < 1 or pipeline_depth < 0 or not 0 < f_clk < math.inf:
         raise ValueError("need parallel_macs >= 1, pipeline_depth >= 0, "
-                         "f_clk > 0")
+                         "finite f_clk > 0")
     if len(dims) < 2 or min(dims) < 1:
         raise ValueError("dims needs at least one layer and no dim below 1")
     n_samples = ofdm_cfg.n_subcarriers + ofdm_cfg.cp_len

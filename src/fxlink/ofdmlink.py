@@ -36,6 +36,8 @@ class OfdmConfig:
             raise ValueError(f"n_subcarriers must be a power of two, got {n}")
         if not 0 <= self.cp_len < n:
             raise ValueError("cp_len must satisfy 0 <= cp_len < n_subcarriers")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate {self.sample_rate} not in (0, inf)")
 
     @property
     def bits_per_block(self) -> int:
@@ -53,14 +55,15 @@ class ChannelRealization:
 
     h has unit average power by construction: CN(0,1) per gain for
     Rayleigh, all-ones for AWGN.  h may be [n_sc] or [blocks, n_sc].
-    snr_db = inf means noiseless.
+    snr_db is one value, or one per block ([blocks, 1]) as training draws
+    it; snr_db = inf means noiseless.
     """
 
     h: np.ndarray
-    snr_db: float
+    snr_db: float | np.ndarray
 
     @property
-    def noise_variance(self) -> float:
+    def noise_variance(self) -> float | np.ndarray:
         # snr_db = inf gives exactly 0.0
         return 10.0 ** (-self.snr_db / 10.0)
 
@@ -147,34 +150,31 @@ def remove_cp(y: np.ndarray, cp_len: int) -> np.ndarray:
     return y[..., cp_len:]
 
 
-def draw_noise(shape, variance, rng: np.random.Generator):
-    """Complex AWGN of `variance` per complex sample, split evenly between
-    I and Q; None when the variance is 0 (noiseless).
-
-    variance may be an array broadcasting against shape, e.g. one value
-    per block.
-    """
-    if not np.count_nonzero(variance):
-        return None
-    # one draw of the real normals, then the imaginary ones, as
-    # standard_normal(shape) twice would give them
-    re, im = rng.standard_normal((2,) + tuple(shape))
-    noise = np.empty(re.shape, dtype=np.complex128)
-    noise.real, noise.imag = re, im
-    noise *= np.sqrt(variance / 2.0)
-    return noise
-
-
 def apply_channel(freq_symbols: np.ndarray, realization: ChannelRealization,
                   rng: np.random.Generator) -> np.ndarray:
-    """y_k = h_k * x_k + eps_k with complex AWGN of the configured variance."""
+    """y_k = h_k * x_k + eps_k, with complex AWGN eps of the realization's
+    noise variance per complex sample, split evenly between I and Q.
+
+    A noiseless realization (variance 0) draws nothing from rng.
+    """
     x = np.asarray(freq_symbols)
     h = realization.h
     if h.shape[-1] != x.shape[-1]:
         raise ValueError(f"gain length {h.shape[-1]} != {x.shape[-1]}")
     y = h * x
-    noise = draw_noise(x.shape, realization.noise_variance, rng)
-    return y if noise is None else y + noise
+    variance = realization.noise_variance
+    if not np.count_nonzero(variance):
+        return y
+    # one draw of the real normals, then the imaginary ones, as
+    # standard_normal(x.shape) twice would give them
+    re, im = rng.standard_normal((2,) + x.shape)
+    noise = np.empty(re.shape, dtype=np.complex128)
+    noise.real, noise.imag = re, im
+    noise *= np.sqrt(variance / 2.0)
+    if y.dtype != noise.dtype:          # real or single-precision h and x
+        return y + noise
+    y += noise                          # in place: no second temporary
+    return y
 
 
 def equalize_zf(y: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -83,8 +83,8 @@ def test_c4_link_ber(ref_model):
     t0 = time.time()
     qm = fx.quantize_model(ref_model, Q16)
     curve = mx.ber_sweep(qm, "fixed", "rayleigh", [30.0],
-                         min_bits=100_000, max_bits=400_000, seed=104,
-                         equalize=True)
+                         min_bits=100_000, max_bits=400_000,
+                         rng=np.random.default_rng(104), equalize=True)
     p = curve.points[0]
     check("C4 link BER",
           p.ber <= 3e-3 and p.bits >= 100_000,
@@ -110,7 +110,8 @@ def test_c5_depth_benefit(ofdm16):
                                equalize=False).model
             curve = mx.ber_sweep(trained, "float", "rayleigh_block",
                                  [25.0, 30.0], min_bits=100_000,
-                                 max_bits=400_000, seed=500 + seed,
+                                 max_bits=400_000,
+                                 rng=np.random.default_rng(500 + seed),
                                  equalize=False)
             for p in curve.points:
                 ber[layers][p.snr_db].append(p.ber)
@@ -189,7 +190,7 @@ def test_c7_oracle_suites(awgn_model, tmp_path):
         curve = mx.ber_sweep(None, "float", "awgn",
                              [mx.ebn0_to_symbol_snr_db(ebn0)],
                              min_bits=min_bits, max_bits=2 * min_bits,
-                             seed=701 + int(ebn0))
+                             rng=np.random.default_rng(701 + int(ebn0)))
         got = curve.points[0].ber
         assert abs(got - want) / want <= 0.10, (ebn0, got, want)
 

@@ -12,8 +12,9 @@ from fxlink import ofdmlink as ofdm
 def noiseless_link(model, x):
     """The float link over unit gains, without noise or ZF: decoder output
     and taps."""
-    h = np.ones(model.ofdm.n_subcarriers, dtype=complex)
-    return ae._link(model, x, h, None, equalize=False)
+    chan = fx.ChannelRealization(np.ones(model.ofdm.n_subcarriers,
+                                         dtype=complex), np.inf)
+    return ae._link(model, x, chan, np.random.default_rng(0), equalize=False)
 
 
 def test_build_model_rejects_empty_shapes(ofdm16):
@@ -114,9 +115,15 @@ def test_chain_gradient_matches_finite_differences(equalize, singular_gains):
         # both below ZF's singular threshold: ZF zeroes their outputs
         h[1, 2] = 0.0
         h[2, 0] = 1e-9
-    noise = 0.05 * (rng.standard_normal((3, 4))
-                    + 1j * rng.standard_normal((3, 4)))
-    _, enc_g, dec_g = ae.chain_loss_and_grads(model, x0, h, noise, equalize)
+    # 23 dB: noise of about 0.05 rms per component
+    chan = fx.ChannelRealization(h, 23.0)
+
+    def loss_and_grads():
+        # the same noise draw at every evaluation
+        return ae.chain_loss_and_grads(model, x0, chan,
+                                       np.random.default_rng(2), equalize)
+
+    _, enc_g, dec_g = loss_and_grads()
     # every weight and bias array with its gradient, each a view into
     # the flat vectors
     params, grads = [], []
@@ -132,11 +139,9 @@ def test_chain_gradient_matches_finite_differences(equalize, singular_gains):
             idx = tuple(rng2.integers(0, s) for s in p.shape)
             old = p[idx]
             p[idx] = old + step
-            lp, _, _ = ae.chain_loss_and_grads(model, x0, h, noise,
-                                               equalize)
+            lp, _, _ = loss_and_grads()
             p[idx] = old - step
-            lm, _, _ = ae.chain_loss_and_grads(model, x0, h, noise,
-                                               equalize)
+            lm, _, _ = loss_and_grads()
             p[idx] = old
             fd = (lp - lm) / (2 * step)
             if max(abs(fd), abs(g[idx])) > 1e-9:
@@ -203,6 +208,31 @@ def test_end_to_end_engine_model_mismatch(awgn_model):
         ae.end_to_end(qm, bits, chan, rng, engine="float")
     with pytest.raises(ValueError):
         ae.end_to_end(awgn_model, bits, chan, rng, engine="warp")
+
+
+def test_end_to_end_rejects_gain_length_before_drawing(awgn_model):
+    rng = np.random.default_rng(18)
+    bits = np.zeros((4, 32), dtype=np.int64)
+    chan = fx.ChannelRealization(np.ones((4, 8), dtype=complex), 10.0)
+    with pytest.raises(ValueError, match="gain length 8 != 16"):
+        ae.end_to_end(awgn_model, bits, chan, rng)
+    assert rng.integers(0, 2**62) == \
+        np.random.default_rng(18).integers(0, 2**62)
+
+
+def test_end_to_end_channel_is_apply_channel(awgn_model):
+    # the codec's link runs the uncoded chain's channel stage: same gains,
+    # same noise draw, bit for bit
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2, size=(6, 32))
+    chan = fx.draw_channel("rayleigh", (6, 16), 10.0, rng)
+    qm = fx.quantize_model(awgn_model, fx.make_qformat(16, 3))
+    for model in (awgn_model, qm):
+        _, taps = ae.end_to_end(model, bits, chan, np.random.default_rng(20),
+                                equalize=False)
+        want = ofdm.apply_channel(ofdm.to_complex(taps["encoded"]), chan,
+                                  np.random.default_rng(20))
+        assert np.array_equal(taps["dec_input"], ofdm.to_reals(want))
 
 
 def test_model_rejects_mixed_formats(awgn_model):

@@ -116,6 +116,7 @@ BAD_VALUES = {
     "snr_min_nan": ("train", "[train]\nsnr_min_db = nan"),
     "snr_max_inf": ("train", "[train]\nsnr_max_db = inf"),
     "n_subcarriers": ("train", "[ofdm]\nn_subcarriers = 12"),
+    "sample_rate": ("train", "[ofdm]\nsample_rate = 0"),
     "modulation": ("train", "[ofdm]\nmodulation = qam4"),     # removed
     "train_kind": ("train", "[channel]\nkind = rician"),
     "equalize": ("train", "[channel]\nequalize = maybe"),
@@ -278,7 +279,9 @@ def test_latency_csv_and_pass_fail(tmp_path, capsys):
 
 def test_latency_non_integer_dims_exits_1(tmp_path, capsys):
     for bad in (["--dims", "32.7,512,32"], ["--dims", "32,0,32"],
-                ["--parallel-macs", "0"], ["--n-subcarriers", "3"]):
+                ["--parallel-macs", "0"], ["--n-subcarriers", "3"],
+                ["--sample-rate-mhz", "0"], ["--sample-rate-mhz", "nan"],
+                ["--sample-rate-mhz", "inf"], ["--clk-mhz", "nan"]):
         assert main(["latency", *bad, "--out", str(tmp_path)]) == 1, bad
         assert "fxlink: config error:" in capsys.readouterr().err
         assert not (tmp_path / "latency.csv").exists()

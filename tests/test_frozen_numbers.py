@@ -107,7 +107,7 @@ def ber_values(model):
             for eq in (True, False):
                 curve = mx.ber_sweep(m, "float" if m is None else "fixed",
                                      channel, SNRS_DB, BER_BITS, BER_BITS,
-                                     seed=7, equalize=eq)
+                                     np.random.default_rng(7), equalize=eq)
                 out[f"ber.{name}.{channel}.zf{int(eq)}"] = tuple(
                     v for p in curve.points for v in (p.bits, p.errors))
     return out

@@ -84,7 +84,7 @@ def test_layer_report_decreases_with_width(awgn_model):
 def test_layer_report_metadata(awgn_model):
     rep = mx.layer_error_report(awgn_model, Q16, 200,
                                 np.random.default_rng(3))
-    assert rep.bit_width == 16 and rep.int_bits == 3
+    assert rep.bit_width == 16
     assert rep.n_samples == 200
     assert rep.first_layer == rep.rel_rms_pct[0]
     assert rep.final_layer == rep.rel_rms_pct[-1]
@@ -122,8 +122,9 @@ def test_layer_report_matches_full_batch_link(awgn_model, bits):
 
         ref_rng = np.random.default_rng([5, n])
         x0 = ae.random_block(n, awgn_model.ofdm, ref_rng).reals
-        _, tf = ae._link(awgn_model, x0, 1.0, None, equalize=False)
-        _, tq = ae._link(qm, x0, 1.0, None, equalize=False)
+        unit = fx.ChannelRealization(np.ones(16, dtype=complex), np.inf)
+        _, tf = ae._link(awgn_model, x0, unit, ref_rng, equalize=False)
+        _, tq = ae._link(qm, x0, unit, ref_rng, equalize=False)
         want = [mx.relative_rms(f, t.values) for f, t in
                 zip(tf["encoder_layers"] + tf["decoder_layers"],
                     tq["encoder_layers"] + tq["decoder_layers"])]
@@ -181,24 +182,24 @@ def test_dead_layer_reads_nan_and_the_sweep_keeps_its_row(tmp_path, ofdm16):
 # ---------------------------------------------------------------------------
 
 def test_ber_noiseless_is_zero(awgn_model):
-    curve = mx.ber_sweep(awgn_model, "float", "awgn", [np.inf],
-                         min_bits=20_000, seed=4)
+    curve = mx.ber_sweep(awgn_model, "float", "awgn", [np.inf], 20_000,
+                         2_000_000, np.random.default_rng(4))
     assert curve.points[0].ber == 0.0
     assert curve.points[0].bits >= 20_000
 
 
 def test_ber_reproducible(awgn_model):
-    a = mx.ber_sweep(awgn_model, "float", "rayleigh", [20.0],
-                     min_bits=20_000, seed=5)
-    b = mx.ber_sweep(awgn_model, "float", "rayleigh", [20.0],
-                     min_bits=20_000, seed=5)
+    a = mx.ber_sweep(awgn_model, "float", "rayleigh", [20.0], 20_000,
+                     2_000_000, np.random.default_rng(5))
+    b = mx.ber_sweep(awgn_model, "float", "rayleigh", [20.0], 20_000,
+                     2_000_000, np.random.default_rng(5))
     assert a.points[0].ber == b.points[0].ber
     assert a.points[0].bits == b.points[0].bits
 
 
 def test_ber_monotone_in_snr(awgn_model):
     curve = mx.ber_sweep(awgn_model, "float", "awgn", [4.0, 8.0, 12.0],
-                         min_bits=30_000, seed=6)
+                         30_000, 2_000_000, np.random.default_rng(6))
     pts = curve.points
     for lo, hi in zip(pts[1:], pts[:-1]):
         slack = 2.0 * np.sqrt(max(hi.ber, 1e-9) / hi.bits)
@@ -210,7 +211,7 @@ def test_ber_uncoded_reference_vs_theory():
     ebn0 = 4.0
     curve = mx.ber_sweep(None, "float", "awgn",
                          [mx.ebn0_to_symbol_snr_db(ebn0)],
-                         min_bits=400_000, max_bits=4_000_000, seed=7)
+                         400_000, 4_000_000, np.random.default_rng(7))
     assert curve.points[0].ber == pytest.approx(
         mx.qpsk_awgn_ber_theory(ebn0), rel=0.10)
 
@@ -220,7 +221,8 @@ def test_ber_uncoded_equalize_flag():
     # decisions; over AWGN (h = 1) ZF changes nothing
     def point(channel, snr_db, eq):
         return mx.ber_sweep(None, "float", channel, [snr_db], 50_000,
-                            50_000, seed=3, equalize=eq).points[0]
+                            50_000, np.random.default_rng(3),
+                            equalize=eq).points[0]
     zf, no_zf = point("rayleigh", 30.0, True), point("rayleigh", 30.0, False)
     assert no_zf.ber > 0.4 and no_zf.ber > 100 * zf.ber
     awgn_zf = point("awgn", 7.0, True)
@@ -230,13 +232,15 @@ def test_ber_uncoded_equalize_flag():
 
 def test_ber_min_bits_guard(awgn_model):
     with pytest.raises(ValueError):
-        mx.ber_sweep(awgn_model, "float", "awgn", [10.0], min_bits=5000)
+        mx.ber_sweep(awgn_model, "float", "awgn", [10.0], 5000, 2_000_000,
+                     np.random.default_rng(0))
 
 
 def test_ber_rejects_nan_snr():
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="SNR points"):
-            mx.ber_sweep(None, "uncoded", "awgn", [10.0, bad], seed=0)
+            mx.ber_sweep(None, "uncoded", "awgn", [10.0, bad], 100_000,
+                         2_000_000, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +385,8 @@ def test_csv_writers_schemas(tmp_path, awgn_model):
     assert rows[0] == mx.CSV_SCHEMAS["layer_error.csv"]
     assert len(rows) == 1 + 5
 
-    curve = mx.ber_sweep(awgn_model, "float", "awgn", [np.inf],
-                         min_bits=10_000, seed=9)
+    curve = mx.ber_sweep(awgn_model, "float", "awgn", [np.inf], 10_000,
+                         2_000_000, np.random.default_rng(9))
     p2 = tmp_path / "ber.csv"
     mx.write_ber_csv(p2, [curve])
     rows = list(csv.reader(open(p2, newline="")))

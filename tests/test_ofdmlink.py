@@ -134,6 +134,16 @@ def test_rayleigh_block_shares_gain_per_symbol():
     assert len(np.unique(chan.h[:, 0])) == 50
 
 
+def test_channel_accepts_real_gains_and_symbols():
+    x = np.array([1.0, -1.0, 1.0, -1.0])
+    y = apply_channel(x, ChannelRealization(np.ones(4), 10.0),
+                      np.random.default_rng(1))
+    want = apply_channel(x.astype(complex),
+                         ChannelRealization(np.ones(4, dtype=complex), 10.0),
+                         np.random.default_rng(1))
+    assert np.array_equal(y, want)
+
+
 def test_channel_length_mismatch():
     chan = ChannelRealization(np.ones(4, dtype=complex), 10.0)
     with pytest.raises(ValueError):

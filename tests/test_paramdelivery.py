@@ -74,6 +74,7 @@ MALFORMED = {
     "no_n_subcarriers": lambda h, p: (
         head_text({k: v for k, v in h.items() if k != "n_subcarriers"}), p),
     "rate_as_string": lambda h, p: (head_text({**h, "rate": "1"}), p),
+    "sample_rate_zero": lambda h, p: (head_text({**h, "sample_rate": 0}), p),
     "unknown_activation": lambda h, p: (
         head_text({**h, "encoder_activations": ["relu", "tanh"]}), p),
     "rate_does_not_fit_dims": lambda h, p: (head_text({**h, "rate": 0.5}), p),
